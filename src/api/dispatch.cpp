@@ -340,66 +340,6 @@ std::string dispatcher::handle(const metrics_request& request) {
   return json.end_object().str();
 }
 
-std::string dispatcher::handle(const subscribe_request& request) {
-  // Reachable only through handle_line(): a transport that cannot
-  // interleave pushed lines (the one-in/one-out contract) has no place
-  // to deliver a stream, so answering the ack and silently dropping the
-  // events would be worse than refusing.
-  return error_response_json(
-      request.header.client_id,
-      "subscribe requires a streaming transport (socket or HTTP SSE); "
-      "this transport answers exactly one line per request");
-}
-
-void dispatcher::handle_stream(const std::string& line, line_sink& sink) {
-  // Only "subscribe" diverges from the one-in/one-out path. Sniff the
-  // kind; on ANY failure fall through to handle_line(), which renders
-  // the same diagnostics it always has -- so malformed subscribes and
-  // every other kind behave exactly as before.
-  try {
-    const json_value root = json_parse(line);
-    if (root.is_object()) {
-      const json_value* kind = root.find("kind");
-      if (kind != nullptr && kind->as_string() == "subscribe") {
-        const request parsed = parse_request(root);
-        metrics::registry::global()
-            .get_counter("nwdec_requests_total", "kind=\"subscribe\"")
-            .inc();
-        serve_subscription(std::get<subscribe_request>(parsed), sink);
-        return;
-      }
-    }
-  } catch (const std::exception&) {
-    // handle_line() below re-raises and renders the diagnostic.
-  }
-  sink.write(handle_line(line));
-}
-
-void dispatcher::serve_subscription(const subscribe_request& request,
-                                    line_sink& sink) {
-  const json_value& id = request.header.client_id;
-  const std::shared_ptr<event_subscription> events =
-      scheduler_.subscribe(request.job, request.from_seq);
-  if (events == nullptr) {
-    sink.write(error_response_json(
-        id, "unknown job id " + std::to_string(request.job) +
-                " (never submitted, or already forgotten)"));
-    return;
-  }
-  json_writer ack = begin_response(id, "subscribe");
-  ack.field("job", request.job);
-  if (request.from_seq != 0) ack.field("from", request.from_seq);
-  if (!sink.write(ack.end_object().str())) return;
-  for (;;) {
-    const std::optional<job_event> event = events->next(200);
-    if (event.has_value()) {
-      if (!sink.write(event->line)) return;  // peer gone: stop pumping
-      continue;
-    }
-    if (events->closed()) return;  // terminal / evicted / drained
-  }
-}
-
 std::string dispatcher::handle(const flush_request& request) {
   const service::flush_summary summary =
       service_.flush(cache_path_, request.clear);

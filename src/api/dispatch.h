@@ -26,31 +26,12 @@
 
 namespace nwdec::api {
 
-/// Where a streaming request's response lines go: a transport-owned sink
-/// (socket writer, SSE chunk encoder, ostream). write() returns false
-/// when the peer is gone -- the producer must stop pumping then.
-class line_sink {
- public:
-  virtual ~line_sink() = default;
-  virtual bool write(const std::string& line) = 0;
-};
-
 /// One NDJSON request line in, one response line out. Implemented by the
 /// dispatcher; transports depend only on this.
 class line_handler {
  public:
   virtual ~line_handler() = default;
   virtual std::string handle_line(const std::string& line) = 0;
-
-  /// Streaming entry point: most requests write exactly their
-  /// handle_line() response to the sink, but a handler may keep writing
-  /// (the dispatcher's "subscribe" pumps job events until the stream
-  /// ends). Transports that can interleave pushed lines call this;
-  /// handle_line() stays the one-in/one-out surface for those that
-  /// cannot.
-  virtual void handle_stream(const std::string& line, line_sink& sink) {
-    sink.write(handle_line(line));
-  }
 };
 
 class dispatcher final : public line_handler {
@@ -78,12 +59,6 @@ class dispatcher final : public line_handler {
 
   std::string handle_line(const std::string& line) override;
 
-  /// handle_line() plus push delivery: a "subscribe" request pumps job
-  /// lifecycle events at the sink until the stream is terminal (or the
-  /// sink's write fails); every other request behaves exactly like
-  /// handle_line().
-  void handle_stream(const std::string& line, line_sink& sink) override;
-
   job_scheduler& scheduler() { return scheduler_; }
 
  private:
@@ -99,11 +74,6 @@ class dispatcher final : public line_handler {
   std::string handle(const stats_request& request);
   std::string handle(const flush_request& request);
   std::string handle(const metrics_request& request);
-  std::string handle(const subscribe_request& request);
-  /// The streaming side of "subscribe": ack line, then one line per
-  /// event until terminal / overflow / drain / sink failure.
-  void serve_subscription(const subscribe_request& request,
-                          line_sink& sink);
   /// Renders a terminal job in the legacy synchronous wire shape.
   std::string sync_response(const json_value& id, const job_result& job);
 

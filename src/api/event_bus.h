@@ -28,7 +28,7 @@
 // the first replay that needs it -- a job nobody watches never pays the
 // render.
 //
-// close_all() (the daemon's drain hook) pushes a final
+// close_all() (the HTTP gateway's drain hook) pushes a final
 //   {"job": J, "seq": S, "event": "draining", "code": "draining"}
 // to every live subscriber and closes them, so event feeds end promptly
 // on SIGTERM instead of pinning connection threads past the drain window.

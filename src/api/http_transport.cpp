@@ -59,9 +59,12 @@ int status_of_response_line(const std::string& line) {
 }  // namespace
 
 http_transport::http_transport(std::uint16_t port, int backlog,
-                               tcp_limits limits,
-                               http_gateway_options gateway)
-    : socket_server(port, backlog, limits), gateway_(gateway) {}
+                               tcp_limits limits)
+    : socket_server(port, backlog, limits) {}
+
+void http_transport::drain_started() {
+  if (scheduler_ != nullptr) scheduler_->close_event_streams();
+}
 
 std::string http_transport::shed_response() const {
   return http_error(
@@ -146,11 +149,10 @@ bool http_transport::handle_request(int client,
                                     line_handler& handler) {
   // During drain every response closes so peers reconnect to a live
   // instance instead of queueing more work on a dying one.
-  const bool keep_alive =
-      request.keep_alive && !gateway_.force_close && !draining();
+  const bool keep_alive = request.keep_alive && !draining();
   const std::string path = request.path();
 
-  if (gateway_.serve_metrics && path == "/metrics") {
+  if (path == "/metrics") {
     if (request.method != "GET") {
       net::send_all(client,
                     http_error(405, "only GET is supported on /metrics"));
@@ -158,7 +160,7 @@ bool http_transport::handle_request(int client,
     }
     return serve_metrics(client, request, keep_alive);
   }
-  if (gateway_.serve_rpc && path == "/v1/rpc") {
+  if (path == "/v1/rpc") {
     if (request.method != "POST") {
       net::send_all(client,
                     http_error(405, "only POST is supported on /v1/rpc"));
@@ -166,7 +168,7 @@ bool http_transport::handle_request(int client,
     }
     return serve_rpc(client, request, handler, keep_alive);
   }
-  if (gateway_.serve_events && path.rfind("/v1/jobs/", 0) == 0 &&
+  if (path.rfind("/v1/jobs/", 0) == 0 &&
       path.size() > 16 &&
       path.compare(path.size() - 7, 7, "/events") == 0) {
     if (request.method != "GET") {
@@ -281,6 +283,9 @@ void http_transport::serve_events(int client, const http::request& request,
                                       "forgotten)"));
     return;
   }
+  // A stream opened after drain_started() already ran missed that close;
+  // closing again (idempotent) ends it with the same draining event.
+  if (draining()) scheduler_->close_event_streams();
   if (!net::send_all(client,
                      "HTTP/1.1 200 OK\r\n"
                      "Content-Type: text/event-stream\r\n"
@@ -290,26 +295,13 @@ void http_transport::serve_events(int client, const http::request& request,
                      "\r\n")) {
     return;
   }
-  const int poll_ms = gateway_.sse_poll_ms > 0 ? gateway_.sse_poll_ms : 250;
-  for (;;) {
-    const std::optional<job_event> event = events->next(poll_ms);
-    if (event.has_value()) {
-      if (!net::send_all(client, sse_chunk(*event))) return;
-      continue;
-    }
-    if (events->closed()) break;
-    if (draining()) {
-      // Fallback for a listener whose drain-start action was not wired
-      // to close_event_streams(): end the stream ourselves so the drain
-      // window can finish. Subscribers treat it like the bus's own
-      // draining event: reconnect, resume from the last seen id.
-      job_event drain_event;
-      drain_event.job = job;
-      drain_event.type = "draining";
-      drain_event.line = "{\"job\":" + std::to_string(job) +
-                         ",\"event\":\"draining\",\"code\":\"draining\"}\n";
-      net::send_all(client, sse_chunk(drain_event));
-      break;
+  // The stream ends once the subscription closes: terminal event,
+  // slow-consumer eviction, or the drain's draining event.
+  constexpr int kPollMs = 250;
+  while (!events->closed()) {
+    const std::optional<job_event> event = events->next(kPollMs);
+    if (event.has_value() && !net::send_all(client, sse_chunk(*event))) {
+      return;
     }
   }
   net::send_all(client, "0\r\n\r\n");  // chunked-encoding terminator

@@ -18,10 +18,10 @@
 //     line (newline stripped). The terminal frame's "result" payload is
 //     byte-identical to a status {"wait": true} response's. The stream
 //     ends (zero-length chunk, connection close) after the terminal
-//     event -- or with a draining event when the daemon shuts down.
-//     404 for an unknown/forgotten job; "from" resumes after a seq.
-//   * GET /metrics -- the Prometheus text exposition (the old
-//     --metrics-port handler, now just a route here).
+//     event -- or with the event bus's draining event when this
+//     gateway's drain begins. 404 for an unknown/forgotten job; "from"
+//     resumes after a seq.
+//   * GET /metrics -- the Prometheus text exposition.
 //
 // Transport-level answers (before any route): malformed request -> 400,
 // Transfer-Encoding body -> 411, request over max_request_bytes -> 413
@@ -43,33 +43,20 @@ namespace nwdec::api {
 
 class job_scheduler;
 
-/// Which routes this listener serves: the daemon's --http-port gateway
-/// serves all three; the --metrics-port compatibility listener is a
-/// gateway with only the metrics route.
-struct http_gateway_options {
-  bool serve_rpc = true;
-  bool serve_events = true;
-  bool serve_metrics = true;
-  /// Answer every request with Connection: close (single-exchange
-  /// listeners like the metrics scrape port).
-  bool force_close = false;
-  /// SSE pump poll granularity: how often a quiet stream checks for
-  /// drain/disconnect, in ms. Never affects delivered bytes.
-  int sse_poll_ms = 250;
-};
-
 class http_transport final : public socket_server {
  public:
-  http_transport(std::uint16_t port, int backlog, tcp_limits limits,
-                 http_gateway_options gateway = {});
+  http_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Wires the events route to a scheduler. Unset (or with serve_events
-  /// false), GET /v1/jobs/{id}/events answers 404. Set before serve().
+  /// Wires the events route to a scheduler. Unset, GET
+  /// /v1/jobs/{id}/events answers 404. Set before serve().
   void set_event_source(job_scheduler* scheduler) { scheduler_ = scheduler; }
 
  protected:
   void serve_connection(int client, line_handler& handler) override;
   std::string shed_response() const override;
+  /// Ends every open event stream of the scheduler with the bus's
+  /// draining event.
+  void drain_started() override;
 
  private:
   /// Serves one parsed request; returns false when the connection must
@@ -84,7 +71,6 @@ class http_transport final : public socket_server {
   void serve_events(int client, const http::request& request,
                     std::uint64_t job);
 
-  http_gateway_options gateway_;
   job_scheduler* scheduler_ = nullptr;
 };
 

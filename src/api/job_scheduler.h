@@ -137,8 +137,8 @@ class job_scheduler {
                                                 std::uint64_t from_seq);
 
   /// Drain hook: pushes a closing "draining" event to every live event
-  /// subscriber and closes their feeds (event_bus::close_all), so
-  /// subscription-pumping connection threads exit promptly on SIGTERM.
+  /// subscriber and closes their feeds (event_bus::close_all), so the
+  /// HTTP gateway's SSE connection threads exit promptly on SIGTERM.
   void close_event_streams();
 
   /// Snapshot of a job (result payload included once done); nullopt for

@@ -48,12 +48,7 @@ line_shape inspect_line(const std::string& line) {
 /// True for the kinds that never enqueue work -- always safe to re-send.
 bool kind_never_enqueues(const std::string& kind) {
   return kind == "status" || kind == "cancel" || kind == "stats" ||
-         kind == "flush" || kind == "metrics" || kind == "subscribe";
-}
-
-bool terminal_event_type(const std::string& type) {
-  return type == "done" || type == "failed" || type == "cancelled" ||
-         type == "timed_out";
+         kind == "flush" || kind == "metrics";
 }
 
 /// The "code" of an "ok": false response line; "" otherwise.
@@ -182,132 +177,6 @@ bool resilient_client::attempt(const std::string& line, std::string* response,
       return true;
     }
   }
-}
-
-retry_class resilient_client::pump_subscription(
-    std::uint64_t job, subscribe_result& result,
-    const std::function<void(const std::string&)>& on_event,
-    std::string* error) {
-  if (!ensure_connected(error)) return retry_class::reconnect;
-  std::string wire =
-      "{\"id\":0,\"kind\":\"subscribe\",\"job\":" + std::to_string(job);
-  if (result.last_seq > 0)
-    wire += ",\"from\":" + std::to_string(result.last_seq);
-  wire += "}\n";
-  if (!net::send_all(fd_, wire)) {
-    *error = "send failed (connection reset)";
-    return retry_class::reconnect;
-  }
-
-  std::string buffer;
-  char chunk[4096];
-  // The per-line deadline restarts on every delivered line: a stream
-  // that keeps flowing may run as long as the job does, a stream that
-  // goes quiet for request_timeout_ms reconnects (and resumes).
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(options_.request_timeout_ms);
-  for (;;) {
-    std::size_t newline = 0;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(options_.request_timeout_ms);
-      json_value root;
-      try {
-        root = json_parse(line);
-      } catch (const std::exception&) {
-        *error = "unparseable line from the server: " + line;
-        return retry_class::reconnect;
-      }
-      if (const json_value* event = root.find("event")) {
-        if (const json_value* seq = root.find("seq")) {
-          const std::uint64_t value =
-              static_cast<std::uint64_t>(seq->as_number());
-          if (value > result.last_seq) result.last_seq = value;
-        }
-        const std::string type = event->as_string();
-        if (type == "event_overflow" || type == "draining") {
-          // The server ended the stream, not the job: an evicted slow
-          // consumer resubscribes and the replay fills the gap; a
-          // draining daemon is reconnected like any dying connection.
-          *error = "stream closed by the server (" + type + ")";
-          return retry_class::reconnect;
-        }
-        ++result.events;
-        if (on_event) on_event(line);
-        if (terminal_event_type(type)) {
-          result.ok = true;
-          result.terminal = line;
-          result.error.clear();
-          return retry_class::none;
-        }
-        continue;
-      }
-      const std::string code = response_code(line);
-      if (const json_value* ok = root.find("ok"); ok && ok->as_bool()) {
-        continue;  // the subscription ack; events follow
-      }
-      const retry_class verdict = classify_code(code);
-      if (verdict == retry_class::none) {
-        // A definitive refusal (unknown job, bad grammar): the answer is
-        // the answer.
-        result.ok = false;
-        result.error = line;
-        return retry_class::none;
-      }
-      *error = "server refused the subscription (" +
-               (code.empty() ? std::string("no code") : code) + ")";
-      return verdict;
-    }
-    int wait_ms = -1;
-    if (options_.request_timeout_ms > 0) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (remaining <= 0) {
-        *error = "no event within " +
-                 std::to_string(options_.request_timeout_ms) + " ms";
-        return retry_class::reconnect;
-      }
-      wait_ms = static_cast<int>(remaining);
-    }
-    const long n = net::read_some(fd_, chunk, sizeof(chunk), wait_ms);
-    if (n == -2) {
-      *error = "no event within " +
-               std::to_string(options_.request_timeout_ms) + " ms";
-      return retry_class::reconnect;
-    }
-    if (n == 0) {
-      *error = "connection closed mid-stream";
-      return retry_class::reconnect;
-    }
-    if (n < 0) {
-      *error = "read failed (connection reset)";
-      return retry_class::reconnect;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-}
-
-subscribe_result resilient_client::subscribe_wait(
-    std::uint64_t job, std::uint64_t from_seq,
-    const std::function<void(const std::string&)>& on_event) {
-  subscribe_result result;
-  result.last_seq = from_seq;
-  for (int i = 0; i < options_.max_attempts; ++i) {
-    ++result.attempts;
-    std::string error;
-    const retry_class verdict =
-        pump_subscription(job, result, on_event, &error);
-    if (verdict == retry_class::none) return result;
-    if (verdict == retry_class::reconnect) disconnect();
-    result.error = error;
-    if (i + 1 == options_.max_attempts) return result;
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms(i)));
-  }
-  return result;
 }
 
 client_result resilient_client::call(const std::string& request_line) {

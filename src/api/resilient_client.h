@@ -23,7 +23,7 @@
 //                               (the server's dedup window makes the
 //                               retry return the existing job) or its
 //                               kind never enqueues work (status, cancel,
-//                               stats, flush, metrics, subscribe);
+//                               stats, flush, metrics);
 //   * everything else        -- returned to the caller as the answer
 //                               ("timed_out", "payload_too_large",
 //                               "request_id_conflict", parse errors, ...).
@@ -39,9 +39,7 @@
 // request/response in order on a connection); use one client per thread.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace nwdec::api {
@@ -82,21 +80,6 @@ struct client_result {
   int attempts = 0;      ///< tries consumed (1 = no retry needed)
 };
 
-/// What one subscribe_wait() accomplished. `ok` means the job's terminal
-/// lifecycle event (done/failed/cancelled/timed_out) was received and
-/// `terminal` holds its exact line; !ok means every attempt died first
-/// and `error` says how the last one did. `last_seq` is the resume
-/// cursor: pass it back as from_seq to continue a stream this call could
-/// not finish.
-struct subscribe_result {
-  bool ok = false;
-  std::string terminal;        ///< the terminal event line, newline trimmed
-  std::string error;           ///< last failure when !ok
-  int attempts = 0;            ///< subscription attempts consumed
-  std::uint64_t last_seq = 0;  ///< highest event seq seen across attempts
-  std::size_t events = 0;      ///< lifecycle event lines delivered
-};
-
 /// How the retry ladder treats an error code (see the header comment).
 enum class retry_class {
   none,       ///< the answer is the answer; do not retry
@@ -119,22 +102,6 @@ class resilient_client {
   /// Never throws on network failure -- inspect client_result.
   client_result call(const std::string& request_line);
 
-  /// Subscribes to a job's lifecycle events and pumps them until the
-  /// terminal event arrives. Each delivered event line (newline trimmed)
-  /// is handed to on_event as it arrives; the terminal line is also the
-  /// return value's `terminal`. The stream survives the same failures
-  /// call() retries: a dropped connection, a "draining" daemon, or a
-  /// slow-consumer "event_overflow" eviction all reconnect and
-  /// resubscribe with from = the last seen sequence number, so the bus
-  /// replay fills the gap and no event is delivered twice. A quiet
-  /// stream is re-polled for request_timeout_ms per line; expiry counts
-  /// as a transport failure (reconnect + resume -- always safe, a
-  /// subscription enqueues nothing). Attempts are bounded by
-  /// options.max_attempts.
-  subscribe_result subscribe_wait(
-      std::uint64_t job, std::uint64_t from_seq = 0,
-      const std::function<void(const std::string&)>& on_event = nullptr);
-
   /// True when `line` may be blindly re-sent: it carries a request_id,
   /// or its kind never enqueues work. Malformed lines are not idempotent
   /// (the server answers each copy with its own error line, but we have
@@ -150,13 +117,6 @@ class resilient_client {
   /// One send + one response line; false on any transport failure.
   bool attempt(const std::string& line, std::string* response,
                std::string* error);
-  /// One subscription attempt: send the subscribe line, pump event lines
-  /// into `result` until the stream ends. Returns the retry_class the
-  /// ladder should apply (none = finished, for better or worse).
-  retry_class pump_subscription(
-      std::uint64_t job, subscribe_result& result,
-      const std::function<void(const std::string&)>& on_event,
-      std::string* error);
   int backoff_ms(int attempt_index);
   std::uint64_t next_random();
 

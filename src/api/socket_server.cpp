@@ -125,12 +125,12 @@ int socket_server::serve(line_handler& handler) {
     }).detach();
   }
 
-  // Shutdown observed: flip the drain flag and run the start action
-  // BEFORE half-closing anything, so connection loops that poll
-  // draining() (SSE pumps) and subscribers parked on event streams are
-  // released into the same drain window as ordinary requests.
+  // Shutdown observed: flip the drain flag and run the drain-start hook
+  // BEFORE half-closing anything, so connections parked on long-lived
+  // work (the gateway's SSE streams) are released into the same drain
+  // window as ordinary requests.
   draining_.store(true, std::memory_order_relaxed);
-  if (drain_start_action_) drain_start_action_();
+  drain_started();
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (limits_.drain_ms > 0 && active_ > 0) {

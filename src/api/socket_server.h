@@ -12,7 +12,8 @@
 // implements exactly two things: serve_connection() -- the per-
 // connection read/answer loop -- and shed_response() -- the bytes an
 // over-cap connection is answered with before closing (an NDJSON error
-// line or an HTTP 503, each in its own protocol).
+// line or an HTTP 503, each in its own protocol). It may also override
+// drain_started() to release long-lived work when a drain begins.
 //
 // The per-connection resource bounds (tcp_limits) are shared verbatim
 // across protocols: the same --idle-timeout-ms / --read-deadline-ms /
@@ -79,18 +80,9 @@ class socket_server : public transport {
   int shutdown_fd() const { return wake_write_; }
 
   /// True once shutdown has been observed by serve(): connection loops
-  /// use it to stop starting long-lived work (an SSE pump checks it so a
-  /// stream can end even if its subscription never closes).
+  /// use it to stop starting long-lived work (the HTTP gateway stops
+  /// keeping connections alive).
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
-
-  /// Runs once when serve() begins shutting down, BEFORE connections are
-  /// half-closed -- the daemon wires it to close the scheduler's event
-  /// streams so subscription-pumping connection threads can drain like
-  /// any other in-flight request. Set before serve(); called without
-  /// transport locks held.
-  void set_drain_start_action(std::function<void()> action) {
-    drain_start_action_ = std::move(action);
-  }
 
   /// Runs when the drain window expires with connections still busy --
   /// before they are force-closed. The daemon points this at the
@@ -104,6 +96,12 @@ class socket_server : public transport {
 
  protected:
   const tcp_limits& limits() const { return limits_; }
+
+  /// Runs once when serve() begins shutting down, after draining() turns
+  /// true and BEFORE connections are half-closed, without transport
+  /// locks held. The HTTP gateway ends its open event streams here so
+  /// their connection threads drain like any other in-flight request.
+  virtual void drain_started() {}
 
   /// The per-connection protocol loop. Runs on a detached thread; must
   /// NOT close `client` or touch the registration bookkeeping -- the
@@ -122,7 +120,6 @@ class socket_server : public transport {
   std::uint16_t port_ = 0;
   tcp_limits limits_;
   std::atomic<bool> draining_{false};
-  std::function<void()> drain_start_action_;
   std::function<void()> drain_deadline_action_;
 
   // Connection threads run detached (a long-lived daemon must not hoard

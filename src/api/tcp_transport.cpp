@@ -13,26 +13,6 @@
 
 namespace nwdec::api {
 
-namespace {
-
-// Response lines (and pushed subscription events) go straight to the
-// socket; a failed send flips peer_gone so the read loop stops.
-class socket_sink final : public line_sink {
- public:
-  socket_sink(int fd, bool& peer_gone) : fd_(fd), peer_gone_(peer_gone) {}
-  bool write(const std::string& line) override {
-    if (net::send_all(fd_, line)) return true;
-    peer_gone_ = true;
-    return false;
-  }
-
- private:
-  int fd_;
-  bool& peer_gone_;
-};
-
-}  // namespace
-
 tcp_transport::tcp_transport(std::uint16_t port, int backlog,
                              int idle_timeout_ms)
     : tcp_transport(port, backlog, [&] {
@@ -58,16 +38,14 @@ void tcp_transport::serve_connection(int client, line_handler& handler) {
   std::string buffer;
   char chunk[4096];
   bool peer_gone = false;
-  bool answered = false;
-  socket_sink sink(client, peer_gone);
   // When the buffered partial line started (slowloris clock); reset every
   // time the buffer drains back to empty.
   clock::time_point partial_since{};
   const auto answer = [&](std::string line) {
     if (!line.empty() && line.back() == '\r') line.pop_back();  // nc/telnet
     if (line.empty()) return;
-    handler.handle_stream(line, sink);
-    answered = true;
+    // A failed send means the peer is gone; the read loop stops.
+    if (!net::send_all(client, handler.handle_line(line))) peer_gone = true;
   };
   for (;;) {
     // Bound how long a peer may hold this connection thread (and its fd)
@@ -130,14 +108,12 @@ void tcp_transport::serve_connection(int client, line_handler& handler) {
     if (buffer.empty()) partial_since = clock::now();
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline = 0;
-    while (!peer_gone && !(single_request_ && answered) &&
-           (newline = buffer.find('\n')) != std::string::npos) {
+    while (!peer_gone && (newline = buffer.find('\n')) != std::string::npos) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       partial_since = clock::now();  // the next line's budget starts now
       answer(std::move(line));
     }
-    if (single_request_ && answered) break;
     if (buffer.size() > limits().max_request_bytes) {
       // Hard cap on one pending request line: a peer streaming bytes
       // without ever sending a newline must cost bounded memory. Real
@@ -160,7 +136,7 @@ void tcp_transport::serve_connection(int client, line_handler& handler) {
   // A final request without a trailing newline still gets its answer --
   // the stdio transport (std::getline) serves such scripts, and the two
   // transports promise identical behavior.
-  if (!peer_gone && !buffer.empty() && !(single_request_ && answered)) {
+  if (!peer_gone && !buffer.empty()) {
     answer(std::move(buffer));
   }
   // The chassis deregisters and closes the fd after this returns.

@@ -7,9 +7,7 @@
 // request per line, one response line per request, written in that
 // connection's request order (concurrency across connections comes from
 // the job scheduler underneath, so two clients' sweep jobs coalesce into
-// one engine run). A "subscribe" request switches the connection to push
-// delivery: the dispatcher keeps writing job lifecycle event lines until
-// the stream ends. Responses are byte-identical to the stdio
+// one engine run). Responses are byte-identical to the stdio
 // transport's -- the dispatcher is shared and the CI smoke diffs the two.
 //
 // Self-protection (tcp_limits, shared with the chassis): the socket is
@@ -49,19 +47,9 @@ class tcp_transport final : public socket_server {
                          int idle_timeout_ms = 0);
   tcp_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Single-request mode: each connection is answered once -- the first
-  /// non-empty line gets its response, then the connection closes
-  /// (remaining buffered lines are dropped). This was the --metrics-port
-  /// discipline before the HTTP gateway existed; tests still exercise
-  /// it. Set before serve().
-  void set_single_request(bool on) { single_request_ = on; }
-
  protected:
   void serve_connection(int client, line_handler& handler) override;
   std::string shed_response() const override;
-
- private:
-  bool single_request_ = false;  ///< close after the first answered line
 };
 
 }  // namespace nwdec::api

@@ -164,9 +164,6 @@ const char* kind_name(const request& parsed) {
     const char* operator()(const stats_request&) const { return "stats"; }
     const char* operator()(const flush_request&) const { return "flush"; }
     const char* operator()(const metrics_request&) const { return "metrics"; }
-    const char* operator()(const subscribe_request&) const {
-      return "subscribe";
-    }
   };
   return std::visit(visitor{}, parsed);
 }
@@ -212,17 +209,10 @@ request parse_request(const json_value& root) {
     parsed.header = parse_header(root);
     return parsed;
   }
-  if (kind == "subscribe") {
-    subscribe_request parsed;
-    parsed.header = parse_header(root);
-    parsed.job = parse_job_id(root);
-    parsed.from_seq = get_size_or(root, "from", 0);
-    return parsed;
-  }
   throw invalid_argument_error(
       "unknown request kind '" + kind +
       "' (expected sweep | refine | status | cancel | stats | flush | "
-      "metrics | subscribe)");
+      "metrics)");
 }
 
 request parse_request_line(const std::string& line) {
@@ -333,11 +323,6 @@ struct request_writer {
     write_header(json, r.header, "metrics");
   }
 
-  void operator()(const subscribe_request& r) const {
-    write_header(json, r.header, "subscribe");
-    json.field("job", r.job);
-    if (r.from_seq != 0) json.field("from", r.from_seq);
-  }
 };
 
 }  // namespace

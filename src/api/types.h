@@ -59,22 +59,11 @@
 //     -> point-in-time snapshot of the observability registry
 //        (util/metrics): {"counters": {...}, "gauges": {...},
 //        "histograms": {...}} with byte-stable key order. The same
-//        snapshot renders in Prometheus text form on --metrics-port.
+//        snapshot renders in Prometheus text form on the HTTP gateway's
+//        GET /metrics.
 //
-//   {"id": 8, "kind": "subscribe", "job": 7, "from": 0}
-//     -> STREAMING: after an acknowledgement line, the connection
-//        receives one line per job lifecycle event ({"job": 7, "seq": N,
-//        "event": "queued" | "running" | "progress" | "done" | "failed"
-//        | "cancelled" | "timed_out", ...}) until the terminal event,
-//        whose body carries the same result payload a
-//        {"kind": "status", "wait": true} would (byte-identical
-//        "result"). "from" (default 0) replays history after that
-//        sequence number first -- the resume cursor after a reconnect.
-//        A subscriber that cannot keep up is evicted with a final
-//        {"code": "event_overflow"} event; the daemon's drain pushes a
-//        final {"code": "draining"} event. Served on the streaming
-//        transports (stdin loop, socket, HTTP SSE); a transport that
-//        answers exactly one line per request refuses it.
+// Job lifecycle events are not a request kind: they stream as SSE from
+// the HTTP gateway's GET /v1/jobs/{id}/events (api/http_transport.h).
 #pragma once
 
 #include <cstddef>
@@ -158,22 +147,10 @@ struct metrics_request {
   request_header header;
 };
 
-/// Attach to a job's lifecycle event stream (streaming transports only;
-/// see the grammar comment). The dispatcher answers it by pumping
-/// event_bus lines at the subscriber until the stream ends.
-struct subscribe_request {
-  request_header header;
-  std::uint64_t job = 0;
-  /// Replay cursor: deliver history with seq > from first (0 = from the
-  /// beginning). Clients resume interrupted streams from their last
-  /// seen sequence number.
-  std::uint64_t from_seq = 0;
-};
-
 using request =
     std::variant<sweep_request, refine_request, status_request,
                  cancel_request, stats_request, flush_request,
-                 metrics_request, subscribe_request>;
+                 metrics_request>;
 
 /// The request's wire kind ("sweep", "refine", ...).
 const char* kind_name(const request& parsed);

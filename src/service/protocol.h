@@ -19,7 +19,7 @@
 //
 // PR 8 adds the observability surface: a "metrics" request kind answering
 // a byte-stable JSON snapshot of the util/metrics registry (the same data
-// the daemon's --metrics-port serves in Prometheus text format), a
+// the HTTP gateway's GET /metrics serves in Prometheus text format), a
 // "trace" span object on status responses of jobs that ran, and
 // "stats" {"detail": true} uptime/queue-depth/latency summaries. All of
 // it is out-of-band: result payloads and the golden are unchanged.
@@ -39,22 +39,16 @@
 // "request_id_conflict" -> do not retry. api::resilient_client
 // implements exactly this ladder.
 //
-// PR 10 opens two push/HTTP surfaces over the same grammar:
-//
-//   * "subscribe" {"job": J, "from": S} -- streaming transports only
-//     (TCP/stdio; one-shot carriers refuse it): one ack line, then the
-//     job's event lines {"job":J,"seq":N,"event":...} in seq order,
-//     gap-free from S+1 (0 = from the start), ending with the terminal
-//     event whose "result" payload is byte-identical to a status
-//     {"wait": true} response's. A slow subscriber is evicted with a
-//     closing "event_overflow" line (resubscribe from the last seq you
-//     processed); drain closes streams with a "draining" line. Grammar
-//     details in api/types.h; the bus itself in api/event_bus.h.
-//   * --http-port serves HTTP/1.1: POST /v1/rpc carries request line(s)
-//     verbatim (response bytes identical to this protocol; error "code"
-//     -> HTTP status), GET /v1/jobs/{id}/events streams the same event
-//     lines as Server-Sent Events, GET /metrics serves the Prometheus
-//     exposition. See api/http_transport.h.
+// The HTTP/1.1 gateway (--http-port) carries the same grammar: POST
+// /v1/rpc takes request line(s) verbatim (response bytes identical to
+// this protocol; error "code" -> HTTP status), GET /v1/jobs/{id}/events
+// pushes the job's event lines {"job":J,"seq":N,"event":...} as
+// Server-Sent Events (gap-free seqs, ?from=S resumes after S, the
+// terminal event's "result" byte-identical to a status {"wait": true}
+// response's; a slow consumer is evicted with a closing
+// "event_overflow" event, a drain ends streams with "draining"), and GET
+// /metrics serves the Prometheus exposition. See api/http_transport.h;
+// the bus itself is api/event_bus.h.
 //
 // PR 10 also adds store-aware admission: a synchronous sweep the store
 // can answer at full provenance is served inline at submit time (no job,

@@ -14,10 +14,7 @@
 //   1. the NWDEC_SIMD_PATH environment variable, when set
 //      (scalar|sse2|avx2|avx512; an unknown value throws
 //      invalid_argument_error naming the valid spellings),
-//   2. the deprecated NWDEC_SIMD=ON configure shim, which prefers avx2 when
-//      that path is compiled in and supported (and silently falls through
-//      when not -- the old option required an AVX2 CPU, the shim degrades),
-//   3. otherwise the widest compiled-and-supported path.
+//   2. otherwise the widest compiled-and-supported path.
 // force_path() re-pins the choice at runtime for tests and benchmarks.
 #pragma once
 

@@ -28,7 +28,8 @@
 //                    exact shortest-double numbers);
 //   * to_prometheus -- the text exposition format (`# TYPE` per family,
 //                    cumulative `_bucket{le=...}` / `_sum` / `_count`
-//                    rows per histogram) served on --metrics-port.
+//                    rows per histogram) served on the HTTP gateway's
+//                    GET /metrics.
 #pragma once
 
 #include <atomic>

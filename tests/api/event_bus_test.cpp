@@ -2,7 +2,8 @@
 // concurrent publishers, slow-consumer eviction with replay recovery,
 // the subscribe-after-terminal replay, lazy terminal-body rendering, and
 // the drain hook. The scheduler integration (which events a job emits)
-// lives in subscribe_test.cpp; this file tests the bus alone.
+// is tested over SSE in http_transport_test.cpp; this file tests the bus
+// alone.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -4,7 +4,8 @@
 // a connection across requests, the transport-level refusals (400, 404,
 // 405, 411, 413) must fire, and GET /v1/jobs/{id}/events must stream SSE
 // frames whose terminal "result" payload is byte-identical to a status
-// {"wait": true} response's.
+// {"wait": true} response's -- ending with the error of a failed job, or
+// with the event bus's draining frame when the gateway drains.
 #include "api/http_transport.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -22,7 +24,9 @@
 
 #include "api/dispatch.h"
 #include "service/sweep_service.h"
+#include "util/failpoint.h"
 #include "util/json.h"
+#include "util/net.h"
 
 namespace nwdec::api {
 namespace {
@@ -128,15 +132,47 @@ std::string dechunk(const std::string& body) {
   return out;
 }
 
+// One SSE frame's fields, in stream order.
+struct sse_frame {
+  std::string id;
+  std::string event;
+  std::string data;
+};
+
+// Splits a dechunked SSE byte stream into its frames.
+std::vector<sse_frame> sse_frames(const std::string& stream) {
+  std::vector<sse_frame> frames;
+  sse_frame current;
+  std::size_t cursor = 0;
+  while (cursor < stream.size()) {
+    std::size_t end = stream.find('\n', cursor);
+    if (end == std::string::npos) end = stream.size();
+    const std::string line = stream.substr(cursor, end - cursor);
+    cursor = end + 1;
+    if (line.rfind("id: ", 0) == 0) current.id = line.substr(4);
+    if (line.rfind("event: ", 0) == 0) current.event = line.substr(7);
+    if (line.rfind("data: ", 0) == 0) current.data = line.substr(6);
+    if (line.empty()) {
+      frames.push_back(current);
+      current = sse_frame{};
+    }
+  }
+  return frames;
+}
+
+std::string events_request(std::uint64_t job) {
+  return "GET /v1/jobs/" + std::to_string(job) +
+         "/events HTTP/1.1\r\nHost: t\r\n\r\n";
+}
+
 struct test_server {
   service::sweep_service service = make_service();
   dispatcher handler;
   http_transport transport;
   std::thread thread;
 
-  explicit test_server(http_gateway_options gateway = {})
-      : handler(service, {2, "", 64}),
-        transport(0, 16, tcp_limits{}, gateway) {
+  explicit test_server(tcp_limits limits = {})
+      : handler(service, {2, "", 64}), transport(0, 16, limits) {
     transport.set_event_source(&handler.scheduler());
     thread = std::thread([this] { transport.serve(handler); });
   }
@@ -212,6 +248,16 @@ TEST(HttpTransportTest, ErrorCodeDrivesTheHttpStatus) {
   const std::string unknown = roundtrip(
       server.port(), post_rpc(R"({"id":1,"kind":"status","job":99999})"));
   EXPECT_EQ(unknown.rfind("HTTP/1.1 400", 0), 0u) << unknown;
+
+  // Job events are an SSE route, not a request kind.
+  const std::string subscribe =
+      roundtrip(server.port(), post_rpc(R"({"id":1,"kind":"subscribe",)"
+                                        R"("job":1})"));
+  EXPECT_EQ(subscribe.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+      << subscribe;
+  EXPECT_NE(body_of(subscribe).find("unknown request kind 'subscribe'"),
+            std::string::npos)
+      << subscribe;
 }
 
 TEST(HttpTransportTest, TransportLevelRefusals) {
@@ -224,6 +270,12 @@ TEST(HttpTransportTest, TransportLevelRefusals) {
       roundtrip(server.port(), "GET /v1/rpc HTTP/1.1\r\n\r\n");
   EXPECT_EQ(method.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u)
       << method;
+
+  const std::string post_metrics =
+      roundtrip(server.port(), "POST /metrics HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(post_metrics.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0),
+            0u)
+      << post_metrics;
 
   const std::string mangled = roundtrip(server.port(), "NOT-HTTP\r\n\r\n");
   EXPECT_EQ(mangled.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u) << mangled;
@@ -266,6 +318,7 @@ TEST(HttpTransportTest, MetricsRouteServesTheExposition) {
   EXPECT_NE(
       response.find("Content-Type: text/plain; version=0.0.4; charset=utf-8"),
       std::string::npos);
+  EXPECT_NE(response.find("\r\n\r\n# TYPE "), std::string::npos) << response;
   EXPECT_NE(response.find("nwdec_uptime_seconds"), std::string::npos);
 }
 
@@ -287,34 +340,26 @@ TEST(HttpTransportTest, SseStreamEndsWithTheExactResultPayload) {
   const json_value* status_result = status_root.find("result");
   ASSERT_NE(status_result, nullptr) << status_response;
 
-  const std::string stream = roundtrip(
-      server.port(), "GET /v1/jobs/" + std::to_string(job) +
-                         "/events HTTP/1.1\r\nHost: t\r\n\r\n");
+  const std::string stream = roundtrip(server.port(), events_request(job));
   EXPECT_EQ(stream.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << stream;
   EXPECT_NE(stream.find("Content-Type: text/event-stream"),
             std::string::npos);
 
-  // Dechunk, split SSE frames, collect the data: payloads.
-  const std::string frames = dechunk(body_of(stream));
-  std::vector<std::string> data_lines;
-  std::vector<std::string> event_types;
-  std::size_t cursor = 0;
-  while (cursor < frames.size()) {
-    std::size_t end = frames.find('\n', cursor);
-    if (end == std::string::npos) end = frames.size();
-    const std::string line = frames.substr(cursor, end - cursor);
-    cursor = end + 1;
-    if (line.rfind("data: ", 0) == 0) data_lines.push_back(line.substr(6));
-    if (line.rfind("event: ", 0) == 0) event_types.push_back(line.substr(7));
+  const std::vector<sse_frame> frames = sse_frames(dechunk(body_of(stream)));
+  ASSERT_EQ(frames.size(), 3u) << stream;
+  EXPECT_EQ(frames[0].event, "queued");
+  EXPECT_EQ(frames[1].event, "running");
+  EXPECT_EQ(frames[2].event, "done");
+  // Gap-free: the SSE ids run 1, 2, 3 and match each event's own seq.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].id, std::to_string(i + 1)) << frames[i].data;
+    const json_value event = json_parse(frames[i].data);
+    EXPECT_EQ(static_cast<std::uint64_t>(event.at("seq").as_number()), i + 1);
+    EXPECT_EQ(static_cast<std::uint64_t>(event.at("job").as_number()), job);
   }
-  ASSERT_EQ(event_types.size(), 3u) << frames;
-  EXPECT_EQ(event_types[0], "queued");
-  EXPECT_EQ(event_types[1], "running");
-  EXPECT_EQ(event_types[2], "done");
-  ASSERT_EQ(data_lines.size(), 3u);
 
   // The terminal frame's "result" is byte-identical to the status one.
-  const json_value terminal = json_parse(data_lines.back());
+  const json_value terminal = json_parse(frames.back().data);
   EXPECT_EQ(json_render(terminal.at("result"), json_writer::style::compact),
             json_render(*status_result, json_writer::style::compact));
 
@@ -329,6 +374,100 @@ TEST(HttpTransportTest, SseStreamEndsWithTheExactResultPayload) {
   const std::string unknown = roundtrip(
       server.port(), "GET /v1/jobs/424242/events HTTP/1.1\r\n\r\n");
   EXPECT_EQ(unknown.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << unknown;
+}
+
+TEST(HttpTransportTest, FailedJobStreamsItsErrorAsTheTerminalEvent) {
+  // The evaluation failpoint fails the job in flight (submission itself
+  // succeeds); disarm on every exit path.
+  struct disarm_guard {
+    ~disarm_guard() { failpoints::disarm_all(); }
+  } guard;
+  failpoints::arm("api.job.sweep.evaluate", failpoints::action::error);
+
+  test_server server;
+  const std::string submit = roundtrip(
+      server.port(),
+      post_rpc(R"({"id":1,"kind":"sweep","async":true,"codes":["BGC"],)"
+               R"("lengths":[8],"sigmas_vt":[0.05],"trials":60})"));
+  const std::uint64_t job = static_cast<std::uint64_t>(
+      json_parse(body_of(submit)).at("job").as_number());
+  const std::string status = roundtrip(
+      server.port(),
+      post_rpc(R"({"id":2,"kind":"status","job":)" + std::to_string(job) +
+               R"(,"wait":true})"));
+  EXPECT_NE(status.find("\"state\":\"failed\""), std::string::npos) << status;
+
+  const std::vector<sse_frame> frames = sse_frames(
+      dechunk(body_of(roundtrip(server.port(), events_request(job)))));
+  ASSERT_GE(frames.size(), 2u);
+  EXPECT_EQ(frames.back().event, "failed");
+  const json_value terminal = json_parse(frames.back().data);
+  EXPECT_EQ(terminal.at("event").as_string(), "failed");
+  const json_value* error = terminal.find("error");
+  ASSERT_NE(error, nullptr) << frames.back().data;
+  EXPECT_NE(error->as_string().find("failpoint"), std::string::npos)
+      << frames.back().data;
+}
+
+TEST(HttpTransportTest, DrainEndsAnOpenStreamWithTheBusDrainingEvent) {
+  tcp_limits limits;
+  limits.drain_ms = 5000;
+  test_server server(limits);
+  // Long enough to still be running when the drain begins; the cancel at
+  // the end stops it within one 65536-trial chunk.
+  const std::string submit = server.handler.handle_line(
+      R"({"id":1,"kind":"sweep","async":true,"codes":["BGC"],)"
+      R"("lengths":[8],"sigmas_vt":[0.05],"trials":50000000})");
+  const std::uint64_t job = static_cast<std::uint64_t>(
+      json_parse(submit).at("job").as_number());
+
+  const int fd = connect_to(server.port());
+  send_raw(fd, events_request(job));
+  // Every read is deadlined, so a stream that never ends fails the test
+  // instead of wedging it.
+  std::string raw;
+  char chunk[4096];
+  const auto read_until = [&](const auto& done, int timeout_ms) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    while (!done()) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - std::chrono::steady_clock::now())
+              .count();
+      if (remaining <= 0) return false;
+      const long n = net::read_some(fd, chunk, sizeof(chunk),
+                                    static_cast<int>(remaining));
+      if (n == 0) return true;  // EOF
+      if (n < 0) return false;
+      raw.append(chunk, static_cast<std::size_t>(n));
+    }
+    return true;
+  };
+  ASSERT_TRUE(read_until(
+      [&] { return raw.find("event: running") != std::string::npos; },
+      10000))
+      << raw;
+
+  const auto drain_start = std::chrono::steady_clock::now();
+  server.transport.shutdown();
+  const bool ended = read_until([] { return false; }, limits.drain_ms);
+  const auto drain_took = std::chrono::steady_clock::now() - drain_start;
+  ::close(fd);
+  server.handler.scheduler().cancel(job);
+
+  ASSERT_TRUE(ended) << "the stream outlived the drain window: " << raw;
+  EXPECT_LT(drain_took, std::chrono::milliseconds(limits.drain_ms));
+  const std::vector<sse_frame> frames = sse_frames(dechunk(body_of(raw)));
+  ASSERT_EQ(frames.size(), 3u) << raw;
+  EXPECT_EQ(frames[1].event, "running");
+  // The bus's own frame: it carries the stream's next seq (the SSE id
+  // too) and the draining code.
+  EXPECT_EQ(frames[2].event, "draining");
+  EXPECT_EQ(frames[2].id, "3");
+  EXPECT_EQ(frames[2].data, "{\"job\":" + std::to_string(job) +
+                                ",\"seq\":3,\"event\":\"draining\","
+                                "\"code\":\"draining\"}");
 }
 
 }  // namespace

@@ -2,24 +2,15 @@
 // legacy stats wire shape stays byte-identical (regression against the
 // committed smoke golden), the `metrics` verb and the detailed stats
 // block expose the registry, status responses of ran jobs carry the trace
-// span object, recovery warnings emit one NDJSON record each, the global
-// counters track a scripted workload, and the --metrics-port HTTP
-// endpoint answers a real loopback scrape.
+// span object, recovery warnings emit one NDJSON record each, and the
+// global counters track a scripted workload. The Prometheus scrape is
+// tested on the HTTP gateway's /metrics route (api/http_transport_test).
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "api/dispatch.h"
-#include "api/http_transport.h"
-#include "api/tcp_transport.h"
 #include "service/durable_store.h"
 #include "service/protocol.h"
 #include "service/sweep_service.h"
@@ -184,81 +175,6 @@ TEST(ObservabilityRecoveryTest, OneNdjsonRecordPerQuarantineWarning) {
   logging::set_stream(nullptr);
   EXPECT_TRUE(clean.str().empty());
   EXPECT_EQ(warnings_total.value(), after);
-}
-
-// Minimal blocking HTTP client for the scrape endpoint: one request, read
-// to EOF (the force_close gateway closes after answering).
-std::string scrape(std::uint16_t port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                      sizeof(address)),
-            0);
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char chunk[4096];
-  ssize_t n = 0;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-TEST(ObservabilityScrapeTest, MetricsPortAnswersALoopbackScrape) {
-  // Seed the registry with at least one metric so the exposition is
-  // non-trivial even when this test runs alone.
-  metrics::registry::global().get_counter("nwdec_requests_total",
-                                          "kind=\"stats\"");
-  // The metrics listener is a metrics-only HTTP gateway: no RPC route,
-  // no events route, every response closes (force_close) so a plain
-  // read-to-EOF scrape works.
-  struct refuse_handler final : public api::line_handler {
-    std::string handle_line(const std::string&) override { return "{}\n"; }
-  } handler;
-  api::tcp_limits limits;
-  limits.idle_timeout_ms = 5000;
-  api::http_gateway_options scrape_only;
-  scrape_only.serve_rpc = false;
-  scrape_only.serve_events = false;
-  scrape_only.force_close = true;
-  api::http_transport transport(0, 16, limits, scrape_only);
-  std::thread server([&] { transport.serve(handler); });
-
-  const std::string ok =
-      scrape(transport.port(), "GET /metrics HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(ok.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << ok;
-  EXPECT_NE(ok.find("Content-Type: text/plain; version=0.0.4"),
-            std::string::npos);
-  EXPECT_NE(ok.find("\r\n\r\n# TYPE "), std::string::npos) << ok;
-  EXPECT_NE(ok.find("nwdec_uptime_seconds"), std::string::npos);
-
-  const std::string missing =
-      scrape(transport.port(), "GET /nope HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(missing.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << missing;
-
-  // A metrics-only gateway refuses the RPC route outright (404: the
-  // route is not served here), and a wrong method on a served route is
-  // answered 405.
-  const std::string no_rpc = scrape(
-      transport.port(), "POST /v1/rpc HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
-  EXPECT_EQ(no_rpc.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << no_rpc;
-
-  const std::string bad =
-      scrape(transport.port(), "POST /metrics HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(bad.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u) << bad;
-
-  const std::string malformed = scrape(transport.port(), "POST /metrics\r\n\r\n");
-  EXPECT_EQ(malformed.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
-      << malformed;
-
-  transport.shutdown();
-  server.join();
 }
 
 }  // namespace

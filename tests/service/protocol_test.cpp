@@ -253,6 +253,15 @@ TEST(ProtocolTest, MalformedAndInvalidRequestsBecomeErrorResponses) {
   EXPECT_NE(unknown_kind.find("\"id\":7"), std::string::npos);
   EXPECT_NE(unknown_kind.find("unknown request kind"), std::string::npos);
 
+  // Job events stream over the HTTP gateway's SSE route; "subscribe" is
+  // not a request kind on any transport.
+  const std::string subscribe =
+      handler.handle_line(R"({"id": 11, "kind": "subscribe", "job": 1})");
+  EXPECT_NE(subscribe.find("\"id\":11"), std::string::npos);
+  EXPECT_NE(subscribe.find("unknown request kind 'subscribe'"),
+            std::string::npos)
+      << subscribe;
+
   const std::string missing_fields =
       handler.handle_line(R"({"id": 8, "kind": "sweep"})");
   EXPECT_NE(missing_fields.find("\"ok\":false"), std::string::npos);

@@ -13,20 +13,14 @@
 //   $ echo '{"id":1,"kind":"sweep","codes":["BGC"],"lengths":[10],
 //            "trials":150}' | nwdec_client --port 4750 --auto-request-id
 //
-// --subscribe JOB switches to subscribe-and-wait mode: stream the job's
-// lifecycle events (one NDJSON line each) to stdout until the terminal
-// event, reconnecting and resubscribing from the last seen seq across
-// connection drops, daemon drains, and slow-consumer evictions.
-// --from N resumes a previous stream after sequence number N.
+// Job lifecycle events are not requests: follow them as SSE on the
+// daemon's HTTP gateway (--http-port), resumable with ?from=SEQ:
 //
-//   $ job=$(echo '{"id":1,"kind":"sweep","async":true,...}' \
-//       | nwdec_client --port 4750 | jq .job)
-//   $ nwdec_client --port 4750 --subscribe "$job"
+//   $ curl -sN http://127.0.0.1:8080/v1/jobs/7/events
 //
 // Exit status: 0 when every request got a response line (inspect each
-// line's "ok" yourself) -- in subscribe mode, when the terminal event
-// arrived; 1 when any call exhausted its retry budget at the transport
-// layer (the failure is reported on stderr).
+// line's "ok" yourself); 1 when any call exhausted its retry budget at
+// the transport layer (the failure is reported on stderr).
 #include <iostream>
 #include <string>
 
@@ -58,11 +52,6 @@ int main(int argc, char** argv) {
   cli.add_flag("auto-request-id",
                "mint a request_id for sweep/refine lines that lack one, "
                "making every submission safely retryable");
-  cli.add_int("subscribe", -1,
-              "stream this job's lifecycle events until its terminal "
-              "event instead of reading requests");
-  cli.add_int("from", 0,
-              "with --subscribe: resume after this sequence number");
   if (!cli.parse(argc, argv)) return 0;
 
   try {
@@ -82,22 +71,6 @@ int main(int argc, char** argv) {
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     options.auto_request_id = cli.get_flag("auto-request-id");
     api::resilient_client client(options);
-
-    const std::int64_t subscribe_job = cli.get_int("subscribe");
-    if (subscribe_job >= 0) {
-      const api::subscribe_result streamed = client.subscribe_wait(
-          static_cast<std::uint64_t>(subscribe_job),
-          static_cast<std::uint64_t>(cli.get_int("from")),
-          [](const std::string& event_line) {
-            std::cout << event_line << "\n" << std::flush;
-          });
-      if (streamed.ok) return 0;
-      logging::event(logging::level::error, "client", "subscribe_failed")
-          .field("error", streamed.error)
-          .field("attempts", streamed.attempts)
-          .field("last_seq", streamed.last_seq);
-      return 1;
-    }
 
     int exit_code = 0;
     const auto send = [&](const std::string& line) {

@@ -34,14 +34,12 @@
 //       $ nwdec_service --http-port 8080 --listen 4750 &
 //       $ curl -s http://127.0.0.1:8080/v1/rpc --data-binary @requests.ndjson
 //
-// Observability: --metrics-port serves the util/metrics registry in
-// Prometheus text format over HTTP (a metrics-only api/http_transport;
-// works with curl, Prometheus scrapes, and `printf 'GET /metrics
-// HTTP/1.0\r\n\r\n' | nc`); the same snapshot is available in-band via
-// the "metrics" request kind and on the gateway's /metrics route. Jobs
-// slower than --slow-ms are logged as slow_request warn records with
-// their span breakdown. All telemetry is out-of-band: response payloads
-// are byte-identical with or without it.
+// Observability: the gateway's GET /metrics serves the util/metrics
+// registry in Prometheus text format (curl, Prometheus scrapes); the
+// same snapshot is available in-band via the "metrics" request kind.
+// Jobs slower than --slow-ms are logged as slow_request warn records
+// with their span breakdown. All telemetry is out-of-band: response
+// payloads are byte-identical with or without it.
 //
 // Requests become jobs on --workers threads; concurrent sweep jobs
 // coalesce their store misses into one engine run. The grammar -- async
@@ -84,10 +82,10 @@ std::size_t get_size(const cli_parser& cli, const std::string& name) {
 }
 
 // The shutdown hook: signal handlers may only touch async-signal-safe
-// calls, so they write one byte to each listener's wake pipe. Up to
-// three listeners run at once (NDJSON socket, HTTP gateway, metrics
-// port); unused slots stay -1.
-volatile std::sig_atomic_t g_shutdown_fds[3] = {-1, -1, -1};
+// calls, so they write one byte to each listener's wake pipe. Up to two
+// listeners run at once (NDJSON socket, HTTP gateway); unused slots
+// stay -1.
+volatile std::sig_atomic_t g_shutdown_fds[2] = {-1, -1};
 
 extern "C" void on_signal(int) {
   for (const std::sig_atomic_t fd : g_shutdown_fds) {
@@ -169,10 +167,6 @@ int main(int argc, char** argv) {
                  "(debug | info | warn | error | off)");
   cli.add_string("log-file", "",
                  "append NDJSON log records to this file instead of stderr");
-  cli.add_int("metrics-port", -1,
-              "serve Prometheus text-format metrics over HTTP on this "
-              "port (0 = ephemeral; the bound port is in the "
-              "'metrics_listening' log record)");
   cli.add_int("slow-ms", 1000,
               "log jobs slower than this many milliseconds as "
               "'slow_request' warn records (0 = never)");
@@ -258,48 +252,16 @@ int main(int argc, char** argv) {
       limits.max_connections = get_size(cli, "max-connections");
       limits.drain_ms = static_cast<int>(get_size(cli, "drain-ms"));
 
-      // Drain wiring shared by the long-lived listeners: when a drain
-      // begins, close the scheduler's event streams so subscription
-      // pumps finish like ordinary in-flight requests; when the window
-      // expires with requests still running, cancel the outstanding
-      // jobs cooperatively -- their synchronous waiters are released,
-      // the connection threads exit, and shutdown persistence (below)
-      // runs within the drain budget instead of blocking on an
-      // arbitrarily long evaluation.
-      const auto on_drain_start = [&dispatcher] {
-        dispatcher.scheduler().close_event_streams();
-      };
+      // Drain wiring shared by the listeners: when the window expires
+      // with requests still running, cancel the outstanding jobs
+      // cooperatively -- their synchronous waiters are released, the
+      // connection threads exit, and shutdown persistence (below) runs
+      // within the drain budget instead of blocking on an arbitrarily
+      // long evaluation. (The gateway ends its own SSE streams when its
+      // drain begins.)
       const auto on_drain_deadline = [&dispatcher] {
         dispatcher.scheduler().cancel_all();
       };
-
-      // The Prometheus scrape endpoint: a metrics-only HTTP listener
-      // (no RPC, no events, every response closes), served from its own
-      // thread so it answers while the main transport blocks in its
-      // accept/read loop.
-      const std::int64_t metrics_port = cli.get_int("metrics-port");
-      std::unique_ptr<api::http_transport> metrics_transport;
-      std::thread metrics_thread;
-      if (metrics_port >= 0) {
-        if (metrics_port > 65535) {
-          throw invalid_argument_error("--metrics-port must be <= 65535");
-        }
-        api::tcp_limits scrape_limits;
-        scrape_limits.idle_timeout_ms = 10000;
-        api::http_gateway_options scrape_only;
-        scrape_only.serve_rpc = false;
-        scrape_only.serve_events = false;
-        scrape_only.force_close = true;
-        metrics_transport = std::make_unique<api::http_transport>(
-            static_cast<std::uint16_t>(metrics_port), 16, scrape_limits,
-            scrape_only);
-        logging::event(logging::level::info, "daemon", "metrics_listening")
-            .field("port", metrics_transport->port());
-        g_shutdown_fds[2] = metrics_transport->shutdown_fd();
-        metrics_thread = std::thread([&metrics_transport, &dispatcher] {
-          metrics_transport->serve(dispatcher);
-        });
-      }
 
       // The HTTP/1.1 gateway: the full route set, served beside (not
       // instead of) the main transport, under the same bounds.
@@ -313,7 +275,6 @@ int main(int argc, char** argv) {
         http_gateway = std::make_unique<api::http_transport>(
             static_cast<std::uint16_t>(http_port), 64, limits);
         http_gateway->set_event_source(&dispatcher.scheduler());
-        http_gateway->set_drain_start_action(on_drain_start);
         http_gateway->set_drain_deadline_action(on_drain_deadline);
         logging::event(logging::level::info, "daemon", "http_listening")
             .field("port", http_gateway->port());
@@ -329,7 +290,6 @@ int main(int argc, char** argv) {
         }
         api::tcp_transport transport(static_cast<std::uint16_t>(listen), 64,
                                      limits);
-        transport.set_drain_start_action(on_drain_start);
         transport.set_drain_deadline_action(on_drain_deadline);
         logging::event(logging::level::info, "daemon", "listening")
             .field("port", transport.port());
@@ -352,11 +312,6 @@ int main(int argc, char** argv) {
         http_gateway->shutdown();
         http_thread.join();
         g_shutdown_fds[1] = -1;
-      }
-      if (metrics_transport) {
-        metrics_transport->shutdown();
-        metrics_thread.join();
-        g_shutdown_fds[2] = -1;
       }
       // The dispatcher (and its scheduler workers) drain here, before the
       // final persistence snapshot below.
