@@ -24,10 +24,17 @@ int main(int argc, char** argv) {
   for (const double fraction : {0.30, 0.40, 0.50, 0.60, 0.70}) {
     device::technology tech = device::paper_technology();
     tech.window_fraction = fraction;
-    const core::design_explorer explorer(crossbar::crossbar_spec{}, tech);
+    const auto results = core::run_yield_experiment(
+        crossbar::crossbar_spec{}, tech,
+        {{code_type::tree, 2, 6},
+         {code_type::tree, 2, 10},
+         {code_type::tree, 2, 8},
+         {code_type::balanced_gray, 2, 8},
+         {code_type::hot, 2, 8},
+         {code_type::arranged_hot, 2, 8}});
 
-    const auto value = [&explorer](code_type type, std::size_t m) {
-      return explorer.evaluate({type, 2, m}).crosspoint_yield;
+    const auto value = [&results](code_type type, std::size_t m) {
+      return core::find_evaluation(results, type, m).crosspoint_yield;
     };
     const double tc6 = value(code_type::tree, 6);
     const double tc10 = value(code_type::tree, 10);

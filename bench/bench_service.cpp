@@ -35,7 +35,6 @@
 #include "api/dispatch.h"
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "service/protocol.h"
 #include "service/sweep_service.h"
 #include "util/cli.h"
 #include "util/cpu.h"

@@ -43,8 +43,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The pre-refactor evaluation path: everything rebuilt per point, nothing
-// shared between points (the seed design_explorer::evaluate body).
+// The pre-engine evaluation path: everything rebuilt per point, nothing
+// shared between points. It is the oracle the engine's analytic figures
+// must match bitwise.
 core::design_evaluation legacy_evaluate(const crossbar::crossbar_spec& spec,
                                         const device::technology& tech,
                                         const core::design_point& point,

@@ -9,6 +9,7 @@
 //      save lithographic wall overhead but accumulate more doping steps
 //      per region (nu grows with N), degrading yield: the model exposes an
 //      optimal cave depth -- a trade-off the paper's fixed N = 20 hides.
+#include <cmath>
 #include <iostream>
 
 #include "bench_util.h"
@@ -35,12 +36,11 @@ int main(int argc, char** argv) {
                                  std::size_t{256}}) {
       crossbar::crossbar_spec spec;
       spec.raw_bits = kb * 1024 * 8;
-      const core::design_explorer explorer(spec, tech);
       const auto results =
-          core::run_yield_experiment(explorer, core::yield_grid());
+          core::run_yield_experiment(spec, tech, core::yield_grid());
       const auto& bgc =
           core::find_evaluation(results, code_type::balanced_gray, 10);
-      const auto& best = core::design_explorer::best_bit_area(results);
+      const auto& best = core::best_bit_area(results);
       const auto side = static_cast<std::size_t>(
           std::ceil(std::sqrt(static_cast<double>(spec.raw_bits))));
       table.add_row({format_count(kb), format_count(side),
@@ -64,9 +64,8 @@ int main(int argc, char** argv) {
                                 std::size_t{56}}) {
       crossbar::crossbar_spec spec;
       spec.nanowires_per_half_cave = n;
-      const core::design_explorer explorer(spec, tech);
-      const auto e =
-          explorer.evaluate({code_type::balanced_gray, 2, 10});
+      const core::design_evaluation e = core::run_yield_experiment(
+          spec, tech, {{code_type::balanced_gray, 2, 10}}).front();
       const auto caves = (static_cast<std::size_t>(std::ceil(std::sqrt(
                               static_cast<double>(spec.raw_bits)))) +
                           2 * n - 1) /

@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   crossbar::crossbar_spec spec;
   spec.nanowires_per_half_cave =
       static_cast<std::size_t>(cli.get_int("nanowires"));
-  const core::design_explorer explorer(spec, device::paper_technology());
   const std::size_t trials = static_cast<std::size_t>(cli.get_int("trials"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
@@ -36,8 +35,8 @@ int main(int argc, char** argv) {
   std::cout << "platform: " << spec.raw_bits << " raw crosspoints, N = "
             << spec.nanowires_per_half_cave << ", sigma_T = 50 mV\n\n";
 
-  const auto results =
-      core::run_yield_experiment(explorer, core::fig7_grid(), trials, seed);
+  const auto results = core::run_yield_experiment(
+      spec, device::paper_technology(), core::fig7_grid(), trials, seed);
 
   text_table table({"code", "M", "Omega", "groups", "E[discard]",
                     "Y (nanowire)", "Y^2 (crosspoint)", "MC Y (operational)"});

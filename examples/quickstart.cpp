@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "codes/factory.h"
-#include "core/design_explorer.h"
+#include "core/experiments.h"
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "util/table.h"
@@ -48,10 +48,11 @@ int main() {
 
   // 3. Evaluate the full crossbar design point: yield, effective density
   //    and bit area on the 16 kB platform.
-  const core::design_explorer explorer(crossbar::crossbar_spec{}, tech);
   const core::design_evaluation result =
-      explorer.evaluate({code.type, code.radix, code.length},
-                        /*mc_trials=*/50);
+      core::run_yield_experiment(crossbar::crossbar_spec{}, tech,
+                                 {{code.type, code.radix, code.length}},
+                                 /*mc_trials=*/50)
+          .front();
 
   std::cout << "crossbar evaluation (" << result.point.label() << "):\n"
             << "  nanowire yield Y      = "

@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
 
   // The grid runs through core::sweep_engine: design points sharded across
   // workers, one cached design/plan/context per point family.
-  const core::design_explorer explorer(spec, tech);
   const auto results = core::run_yield_experiment(
-      explorer, core::yield_grid(),
+      spec, tech, core::yield_grid(),
       static_cast<std::size_t>(cli.get_int("trials")),
       static_cast<std::uint64_t>(cli.get_int("seed")),
       static_cast<std::size_t>(cli.get_int("threads")));
@@ -56,8 +55,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const core::design_evaluation& best =
-      core::design_explorer::best_bit_area(results);
+  const core::design_evaluation& best = core::best_bit_area(results);
   std::cout << "\nrecommended decoder: " << best.point.label() << " ("
             << format_fixed(best.bit_area_nm2, 1) << " nm^2/bit, "
             << format_percent(best.crosspoint_yield)

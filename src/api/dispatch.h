@@ -3,9 +3,14 @@
 // handle_line() is the whole service surface: one NDJSON request line in,
 // exactly one single-line JSON response out (trailing newline included),
 // never throwing -- every failure, from malformed JSON up, becomes an
-// "ok": false response echoing the request's "id". It is safe to call from
-// any number of transport threads concurrently (the TCP server calls it
-// from one thread per connection; the stdio loop from one).
+// "ok": false response with an "error" diagnostic, and no request kills
+// the daemon. Every response carries "ok" and echoes the request's "id"
+// (null when absent or unparseable) as the same JSON value in compact
+// form; api/types.h (request_header::client_id) states what that means
+// for strings and numbers. It is safe to call from any number of
+// transport threads concurrently (the socket servers call it from one
+// thread per connection; the stdio loop from one), and the response bytes
+// are the same whichever transport carried the line.
 //
 // Sweep and refine requests become jobs on the scheduler. Synchronous
 // requests (the legacy protocol) submit, wait, and render the completed
@@ -16,6 +21,12 @@
 // immediately; the result is fetched (or awaited) with status requests.
 // status/cancel/stats/flush are served inline -- they inspect shared
 // state and never queue.
+//
+// Determinism: the "result" member of sweep/refine responses is a pure
+// function of (service configuration, request) -- cache provenance counts
+// live only in the wrapper -- so answers served cold, from memory, from a
+// persisted cache file, topped up, batched with other jobs, or over any
+// transport are byte-identical there, at any worker count.
 #pragma once
 
 #include <string>

@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "api/transport.h"
+#include "api/dispatch.h"
 
 namespace nwdec::api {
 
@@ -55,13 +55,13 @@ struct tcp_limits {
   int drain_ms = 0;
 };
 
-class socket_server : public transport {
+class socket_server {
  public:
   /// Binds and listens immediately (so port() is valid before serve());
   /// port 0 picks an ephemeral port. Throws nwdec::error on any socket
   /// failure.
   socket_server(std::uint16_t port, int backlog, tcp_limits limits);
-  ~socket_server() override;
+  virtual ~socket_server();
   socket_server(const socket_server&) = delete;
   socket_server& operator=(const socket_server&) = delete;
 
@@ -69,7 +69,7 @@ class socket_server : public transport {
   std::uint16_t port() const { return port_; }
 
   /// Accept loop; returns 0 after shutdown() completes it.
-  int serve(line_handler& handler) override;
+  int serve(line_handler& handler);
 
   /// Requests serve() to stop; safe from any thread, idempotent.
   void shutdown();

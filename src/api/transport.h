@@ -1,16 +1,12 @@
-// api::transport: how request lines reach the dispatcher -- decoupled from
-// what the requests mean.
+// api::stdio_transport: the daemon's default ingress -- request lines from
+// stdin, response lines to stdout.
 //
-// A transport owns one ingress (stdin, a listening socket, ...) and pumps
-// NDJSON lines through a line_handler (api/dispatch.h), writing each
-// returned response line back to the requester. Dispatch is transport-
-// agnostic by contract: the same request line produces the same response
-// bytes over every transport (the CI socket smoke diffs the two).
-//
-//   * stdio_transport -- the legacy daemon loop: one request per stdin
-//     line, one response per stdout line, byte-compatible with PR 3.
-//   * tcp_transport (api/tcp_transport.h) -- a socket server handling any
-//     number of concurrent connections, one thread per connection.
+// Every ingress pumps NDJSON lines through a line_handler (api/dispatch.h)
+// and writes each returned response line back to the requester. Dispatch
+// is transport-agnostic by contract: the same request line produces the
+// same response bytes over stdin, a raw TCP connection
+// (api/tcp_transport.h), or HTTP POST /v1/rpc (api/http_transport.h); CI
+// diffs all three against one golden.
 #pragma once
 
 #include <iosfwd>
@@ -19,20 +15,13 @@
 
 namespace nwdec::api {
 
-class transport {
- public:
-  virtual ~transport() = default;
-  /// Serves requests until the ingress is exhausted (stdio: EOF) or
-  /// shutdown is requested (tcp). Returns a process exit code.
-  virtual int serve(line_handler& handler) = 0;
-};
-
 /// The stdin/stdout NDJSON loop. Empty lines are skipped; every response
 /// is flushed immediately so the daemon composes with pipes.
-class stdio_transport final : public transport {
+class stdio_transport {
  public:
   stdio_transport(std::istream& in, std::ostream& out);
-  int serve(line_handler& handler) override;
+  /// Serves requests until EOF; returns a process exit code.
+  int serve(line_handler& handler);
 
  private:
   std::istream& in_;

@@ -2,13 +2,13 @@
 //
 // Every request the daemon accepts is one of the structs below; parsing
 // from the NDJSON wire form and serializing back are centralized here, so
-// protocol fields are named in exactly one place (the ad-hoc json_value
-// plucking the PR 3 protocol_handler did is gone). parse_request and
+// protocol fields are named in exactly one place. parse_request and
 // write_request are inverses: write(parse(write(x))) == write(x) byte for
 // byte, and the round trip is tested.
 //
 // Request grammar (one JSON object per line; every request may carry
-// "id" (echoed verbatim in the response), "async" (submit and return the
+// "id" (echoed in the response as the same JSON value in compact form --
+// see request_header::client_id), "async" (submit and return the
 // job id immediately -- sweep/refine only), "priority" (higher runs
 // first; default 0), "timeout_ms" (sweep/refine deadline in
 // milliseconds from submission; 0 = none. A job whose deadline expires
@@ -82,8 +82,12 @@ namespace nwdec::api {
 
 /// Fields shared by every request kind.
 struct request_header {
-  json_value client_id;      ///< the request's "id", echoed verbatim (null
-                             ///< when absent)
+  /// The request's "id" (null when absent). The response echoes it as the
+  /// same JSON value re-rendered in compact form, not as the request's
+  /// bytes: strings are re-escaped ("\/" comes back as "/"), and numbers
+  /// pass through a double and print in their shortest round-trip form
+  /// (2.50 -> 2.5, 1E2 -> 100, 100000 -> 1e+05).
+  json_value client_id;
   bool async_submit = false; ///< "async": return the job id immediately
   int priority = 0;          ///< higher-priority jobs run first
   /// Deadline in milliseconds from submission for sweep/refine jobs

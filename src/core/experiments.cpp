@@ -1,8 +1,10 @@
 #include "core/experiments.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "codes/factory.h"
+#include "core/sweep_engine.h"
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "util/error.h"
@@ -98,9 +100,27 @@ std::vector<design_point> fig7_grid() {
 }
 
 std::vector<design_evaluation> run_yield_experiment(
-    const design_explorer& explorer, const std::vector<design_point>& grid,
-    std::size_t mc_trials, std::uint64_t seed, std::size_t threads) {
-  return explorer.sweep(grid, mc_trials, seed, threads);
+    const crossbar::crossbar_spec& spec, const device::technology& tech,
+    const std::vector<design_point>& grid, std::size_t mc_trials,
+    std::uint64_t seed, std::size_t threads) {
+  const sweep_engine engine(spec, tech);
+  std::vector<sweep_request> requests(grid.size());
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    requests[k].design = grid[k];
+    requests[k].mc_trials = mc_trials;
+  }
+  sweep_engine_options options;
+  options.threads = threads;
+  options.seed = seed;
+  options.mode = yield::mc_mode::operational;
+  sweep_engine_report report = engine.run(requests, options);
+
+  std::vector<design_evaluation> out;
+  out.reserve(report.entries.size());
+  for (sweep_engine_entry& entry : report.entries) {
+    out.push_back(std::move(entry.evaluation));
+  }
+  return out;
 }
 
 const design_evaluation& find_evaluation(
@@ -114,6 +134,16 @@ const design_evaluation& find_evaluation(
   throw not_found_error("design point " +
                         codes::code_type_name(type) + "-" +
                         std::to_string(length) + " not in the result set");
+}
+
+const design_evaluation& best_bit_area(
+    const std::vector<design_evaluation>& evaluations) {
+  NWDEC_EXPECTS(!evaluations.empty(), "nothing to rank");
+  return *std::min_element(evaluations.begin(), evaluations.end(),
+                           [](const design_evaluation& a,
+                              const design_evaluation& b) {
+                             return a.bit_area_nm2 < b.bit_area_nm2;
+                           });
 }
 
 }  // namespace nwdec::core

@@ -5,12 +5,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "codes/code_space.h"
-#include "core/design_explorer.h"
 #include "core/design_point.h"
+#include "crossbar/geometry.h"
+#include "device/tech_params.h"
 #include "util/matrix.h"
 
 namespace nwdec::core {
@@ -53,14 +55,18 @@ std::vector<design_point> yield_grid();
 /// Fig. 7's own series: TC and BGC at {6, 8, 10}; HC and AHC at {4, 6, 8}.
 std::vector<design_point> fig7_grid();
 
-/// Runs a grid through the explorer's sweep engine (Fig. 7 yield and Fig. 8
-/// bit area both read from the returned evaluations). `threads` shards the
-/// design points across workers (0 = all cores); results are bit-identical
-/// for any value.
+/// Evaluates a grid on one platform through core::sweep_engine, in grid
+/// order (Fig. 7 yield and Fig. 8 bit area both read from the returned
+/// evaluations). When `mc_trials` > 0 each point carries an operational
+/// Monte-Carlo cross-check seeded from rng::from_counter(seed,
+/// point-fingerprint), so a point's result never depends on the rest of
+/// the grid. `threads` shards the design points across workers (0 = all
+/// cores); results are bit-identical for any value. An empty grid throws
+/// invalid_argument_error.
 std::vector<design_evaluation> run_yield_experiment(
-    const design_explorer& explorer, const std::vector<design_point>& grid,
-    std::size_t mc_trials = 0, std::uint64_t seed = 1,
-    std::size_t threads = 0);
+    const crossbar::crossbar_spec& spec, const device::technology& tech,
+    const std::vector<design_point>& grid, std::size_t mc_trials = 0,
+    std::uint64_t seed = 1, std::size_t threads = 0);
 
 // --------------------------------------------------- paper reference data
 /// The quantitative claims of Sec. 6.2, used by the harnesses to print
@@ -89,5 +95,11 @@ struct paper_claims {
 const design_evaluation& find_evaluation(
     const std::vector<design_evaluation>& evaluations, codes::code_type type,
     std::size_t length);
+
+/// The evaluation with the smallest bit area (the paper's headline
+/// optimization target); throws invalid_argument_error when `evaluations`
+/// is empty.
+const design_evaluation& best_bit_area(
+    const std::vector<design_evaluation>& evaluations);
 
 }  // namespace nwdec::core

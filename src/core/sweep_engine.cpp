@@ -19,7 +19,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "yield/analytic_yield.h"
-#include "yield/yield_sweep.h"
+#include "yield/monte_carlo_yield.h"
 
 namespace nwdec::core {
 
@@ -260,7 +260,6 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
       yield::mc_options mc;
       mc.mode = options.mode;
       mc.threads = inner_threads;
-      mc.block_size = options.mc_block_size;
       mc.defects = request.defects;
       mc.sigma_vt = request.sigma_vt;
       const std::uint64_t run_key =

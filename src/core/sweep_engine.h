@@ -158,11 +158,6 @@ struct sweep_engine_options {
   std::size_t threads = 0;
   std::uint64_t seed = 1;
   yield::mc_mode mode = yield::mc_mode::operational;
-  /// Trials per batched-kernel block for every point's Monte-Carlo leg
-  /// (yield::mc_options::block_size): 0 = the kernel default, 1 = the
-  /// scalar per-trial oracle path. Bit-identical results either way; this
-  /// is a performance knob benches use to compare the two kernels.
-  std::size_t mc_block_size = 0;
   /// When set, each point's Monte-Carlo leg runs in batches sized by this
   /// hook (request.mc_trials stays the hard cap); unset = one fixed batch
   /// of request.mc_trials. Batched and fixed runs over the same total are

@@ -27,8 +27,6 @@ const kernel_table* kernel_table_for(cpu::simd_path path) {
   switch (path) {
     case cpu::simd_path::scalar:
       return scalar_kernel_table();
-    case cpu::simd_path::sse2:
-      return sse2_kernel_table();
     case cpu::simd_path::avx2:
       return avx2_kernel_table();
     case cpu::simd_path::avx512:

@@ -16,7 +16,7 @@
 //
 // The blocked kernels (conducts_block, addressable_block,
 // addressable_group_block, window_margin_block) are runtime-SIMD-
-// dispatched: one binary carries scalar / SSE2 / AVX2 / AVX-512
+// dispatched: one binary carries scalar / AVX2 / AVX-512
 // instantiations and util/cpu picks the widest one the running CPU
 // supports (NWDEC_SIMD_PATH overrides; see util/cpu.h). Every path
 // performs the same IEEE operations per lane, so the chosen path never

@@ -3,7 +3,7 @@
 // criterion (yield/trial_context).
 //
 // Each table is produced by one translation unit compiled for one target
-// ISA -- addressing_kernels_{scalar,sse2,avx2,avx512}.cpp all include
+// ISA -- addressing_kernels_{scalar,avx2,avx512}.cpp all include
 // addressing_kernels_body.inc with different compiler flags -- and the
 // public entry points in addressing.cpp pick a table through
 // cpu::active_path(). Every path performs the same IEEE operations per
@@ -60,7 +60,6 @@ struct kernel_table {
 /// the rng kernel tables (util/rng_kernels.h), which cpu::path_compiled
 /// consults for both sets.
 const kernel_table* scalar_kernel_table();
-const kernel_table* sse2_kernel_table();
 const kernel_table* avx2_kernel_table();
 const kernel_table* avx512_kernel_table();
 

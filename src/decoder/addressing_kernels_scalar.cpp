@@ -1,7 +1,6 @@
 // Scalar instantiation of the blocked margin kernels: compiled with the
 // auto-vectorizer disabled (-fno-tree-vectorize) so it is the genuinely
-// scalar oracle every wider path is compared against, not just a copy of
-// the baseline-autovectorized sse2 path.
+// scalar oracle every wider path is compared against.
 #include "decoder/addressing_kernels.h"
 
 #define NWDEC_ADDR_KERNEL_PATH_NAME "scalar"

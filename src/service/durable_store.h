@@ -92,8 +92,6 @@ class durable_store {
   durable_store& operator=(const durable_store&) = delete;
 
   const std::string& snapshot_path() const { return path_; }
-  const std::string& log_path() const { return log_path_; }
-  const durable_options& options() const { return options_; }
 
   /// Recovers snapshot + log into `store` (see the header comment for the
   /// degradation rules) and opens the log for appends. Throws io_error
@@ -117,10 +115,6 @@ class durable_store {
   /// snapshot rename and the truncation replays already-present records.
   void compact(const result_store& store, const store_header& header);
 
-  /// Current on-disk sizes (log includes its 16-byte header).
-  std::size_t log_bytes() const { return log_bytes_; }
-  std::size_t snapshot_bytes() const { return snapshot_bytes_; }
-
  private:
   void recover_log(result_store& store, const store_header& expected,
                    recovery_report& report);
@@ -131,6 +125,8 @@ class durable_store {
   std::string log_path_;
   durable_options options_;
   int fd_ = -1;  ///< the open log (O_APPEND)
+  /// On-disk sizes, the log's counting its 16-byte header; the compaction
+  /// thresholds compare them.
   std::size_t log_bytes_ = 0;
   std::size_t snapshot_bytes_ = 0;
 };

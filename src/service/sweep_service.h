@@ -58,10 +58,6 @@ struct service_options {
   std::size_t threads = 0;  ///< engine workers; 0 = hardware concurrency
   std::uint64_t seed = 2009;
   yield::mc_mode mode = yield::mc_mode::operational;
-  /// Trials per batched-kernel block (0 = kernel default, 1 = the scalar
-  /// oracle path). Not part of the cache header: block size never changes
-  /// results, only how fast the engine produces them.
-  std::size_t mc_block_size = 0;
   std::size_t cache_capacity = 1 << 16;
   /// CI-width stopping policy applied to every sweep point; unset = fixed
   /// budgets (request.mc_trials). Its (initial_batch, growth) also

@@ -16,12 +16,11 @@ namespace nwdec::cpu {
 
 namespace {
 
-// cpuid leaf 1 ECX/EDX and leaf 7 subleaf 0 EBX feature bits (Intel SDM
+// cpuid leaf 1 ECX and leaf 7 subleaf 0 EBX feature bits (Intel SDM
 // vol. 2A, CPUID), plus the XCR0 state-component bits the OS must have
 // enabled for the wider register files to be usable.
 constexpr std::uint32_t leaf1_ecx_osxsave = 1u << 27;
 constexpr std::uint32_t leaf1_ecx_avx = 1u << 28;
-constexpr std::uint32_t leaf1_edx_sse2 = 1u << 26;
 constexpr std::uint32_t leaf7_ebx_avx2 = 1u << 5;
 constexpr std::uint32_t leaf7_ebx_avx512f = 1u << 16;
 constexpr std::uint32_t leaf7_ebx_avx512bw = 1u << 30;
@@ -32,11 +31,9 @@ constexpr std::uint64_t xcr0_zmm_state = 0xe0;  // opmask + ZMM_Hi256 + Hi16_ZMM
 
 cpu_features features_from_registers(std::uint32_t max_leaf,
                                      std::uint32_t leaf1_ecx,
-                                     std::uint32_t leaf1_edx,
                                      std::uint32_t leaf7_ebx,
                                      std::uint64_t xcr0) {
   cpu_features f;
-  f.sse2 = (leaf1_edx & leaf1_edx_sse2) != 0;
   const bool os_ymm = (leaf1_ecx & leaf1_ecx_osxsave) != 0 &&
                       (leaf1_ecx & leaf1_ecx_avx) != 0 &&
                       (xcr0 & xcr0_ymm_state) == xcr0_ymm_state;
@@ -57,7 +54,6 @@ cpu_features probe() {
   if (max_leaf < 1) return cpu_features{};
   __cpuid(1, eax, ebx, ecx, edx);
   const std::uint32_t leaf1_ecx = ecx;
-  const std::uint32_t leaf1_edx = edx;
   std::uint32_t leaf7_ebx = 0;
   if (max_leaf >= 7) {
     __cpuid_count(7, 0, eax, ebx, ecx, edx);
@@ -72,8 +68,7 @@ cpu_features probe() {
     __asm__ volatile(".byte 0x0f, 0x01, 0xd0" : "=a"(lo), "=d"(hi) : "c"(0));
     xcr0 = (static_cast<std::uint64_t>(hi) << 32) | lo;
   }
-  return features_from_registers(max_leaf, leaf1_ecx, leaf1_edx, leaf7_ebx,
-                                 xcr0);
+  return features_from_registers(max_leaf, leaf1_ecx, leaf7_ebx, xcr0);
 }
 #else
 cpu_features probe() { return cpu_features{}; }
@@ -93,7 +88,6 @@ std::string to_string(const cpu_features& features) {
     if (!out.empty()) out += ',';
     out += name;
   };
-  add(features.sse2, "sse2");
   add(features.avx2, "avx2");
   add(features.avx512f, "avx512f");
   add(features.avx512bw, "avx512bw");
@@ -104,8 +98,6 @@ const char* simd_path_name(simd_path path) {
   switch (path) {
     case simd_path::scalar:
       return "scalar";
-    case simd_path::sse2:
-      return "sse2";
     case simd_path::avx2:
       return "avx2";
     case simd_path::avx512:
@@ -115,20 +107,18 @@ const char* simd_path_name(simd_path path) {
 }
 
 simd_path parse_simd_path(const std::string& name) {
-  for (const simd_path path : {simd_path::scalar, simd_path::sse2,
-                               simd_path::avx2, simd_path::avx512}) {
+  for (const simd_path path :
+       {simd_path::scalar, simd_path::avx2, simd_path::avx512}) {
     if (name == simd_path_name(path)) return path;
   }
   throw invalid_argument_error("unknown SIMD path '" + name +
-                               "' (valid: scalar, sse2, avx2, avx512)");
+                               "' (valid: scalar, avx2, avx512)");
 }
 
 bool path_supported(const cpu_features& features, simd_path path) {
   switch (path) {
     case simd_path::scalar:
       return true;
-    case simd_path::sse2:
-      return features.sse2;
     case simd_path::avx2:
       return features.avx2;
     case simd_path::avx512:
@@ -148,8 +138,8 @@ bool path_compiled(simd_path path) {
 std::vector<simd_path> available_paths() {
   std::vector<simd_path> out;
   const cpu_features& features = detect();
-  for (const simd_path path : {simd_path::scalar, simd_path::sse2,
-                               simd_path::avx2, simd_path::avx512}) {
+  for (const simd_path path :
+       {simd_path::scalar, simd_path::avx2, simd_path::avx512}) {
     if (path_compiled(path) && path_supported(features, path)) {
       out.push_back(path);
     }

@@ -2,8 +2,8 @@
 //
 // The hot kernels of the blocked Monte-Carlo engine -- the margin sweeps in
 // decoder/addressing and the bulk deviate conversions in util/rng -- are
-// compiled several times, once per target ISA (scalar / SSE2 / AVX2 /
-// AVX-512), into per-path function-pointer tables. One binary carries every
+// compiled several times, once per target ISA (scalar / AVX2 / AVX-512),
+// into per-path function-pointer tables. One binary carries every
 // path the compiler could build; a cpuid probe picks the widest one the
 // running CPU supports, once, at first use. Every path performs the same
 // IEEE operations per lane (sub, min, ordered compares, blends, one-rounding
@@ -12,7 +12,7 @@
 //
 // Path resolution order (resolved once, then pinned):
 //   1. the NWDEC_SIMD_PATH environment variable, when set
-//      (scalar|sse2|avx2|avx512; an unknown value throws
+//      (scalar|avx2|avx512; an unknown value throws
 //      invalid_argument_error naming the valid spellings),
 //   2. otherwise the widest compiled-and-supported path.
 // force_path() re-pins the choice at runtime for tests and benchmarks.
@@ -27,7 +27,6 @@ namespace nwdec::cpu {
 
 /// The instruction-set extensions the dispatch paths care about.
 struct cpu_features {
-  bool sse2 = false;
   bool avx2 = false;
   bool avx512f = false;
   bool avx512bw = false;
@@ -35,8 +34,8 @@ struct cpu_features {
 
 /// Decodes a feature set from raw cpuid / XGETBV register values -- the
 /// pure, testable core of the probe. `max_leaf` is cpuid leaf 0's EAX
-/// (highest supported leaf), `leaf1_ecx` / `leaf1_edx` are leaf 1's feature
-/// words, `leaf7_ebx` is leaf 7 subleaf 0's EBX (pass 0 when max_leaf < 7),
+/// (highest supported leaf), `leaf1_ecx` is leaf 1's ECX feature word,
+/// `leaf7_ebx` is leaf 7 subleaf 0's EBX (pass 0 when max_leaf < 7),
 /// and `xcr0` is the XCR0 register (pass 0 when OSXSAVE is unavailable).
 /// AVX2 and AVX-512 require not just the CPU bits but OS state support:
 /// OSXSAVE + the AVX bit + XCR0 ymm state for AVX2, plus XCR0
@@ -44,7 +43,6 @@ struct cpu_features {
 /// zmm registers makes the instructions unusable even on a capable CPU.
 cpu_features features_from_registers(std::uint32_t max_leaf,
                                      std::uint32_t leaf1_ecx,
-                                     std::uint32_t leaf1_edx,
                                      std::uint32_t leaf7_ebx,
                                      std::uint64_t xcr0);
 
@@ -52,19 +50,18 @@ cpu_features features_from_registers(std::uint32_t max_leaf,
 /// on non-x86 builds.
 const cpu_features& detect();
 
-/// Comma-joined list of the set flags ("sse2,avx2"), or "none".
+/// Comma-joined list of the set flags ("avx2,avx512f"), or "none".
 std::string to_string(const cpu_features& features);
 
 /// One dispatchable kernel implementation per value, ordered narrow to
 /// wide. `avx512` means AVX-512F + AVX-512BW.
 enum class simd_path {
   scalar = 0,
-  sse2 = 1,
-  avx2 = 2,
-  avx512 = 3,
+  avx2 = 1,
+  avx512 = 2,
 };
 
-/// The lowercase spelling NWDEC_SIMD_PATH uses ("scalar", "sse2", ...).
+/// The lowercase spelling NWDEC_SIMD_PATH uses ("scalar", "avx2", ...).
 const char* simd_path_name(simd_path path);
 
 /// Parses a NWDEC_SIMD_PATH spelling; throws invalid_argument_error naming

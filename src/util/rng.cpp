@@ -19,8 +19,6 @@ const rng_kernel_table* rng_kernel_table_for(cpu::simd_path path) {
   switch (path) {
     case cpu::simd_path::scalar:
       return scalar_rng_kernel_table();
-    case cpu::simd_path::sse2:
-      return sse2_rng_kernel_table();
     case cpu::simd_path::avx2:
       return avx2_rng_kernel_table();
     case cpu::simd_path::avx512:

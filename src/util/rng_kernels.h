@@ -3,7 +3,7 @@
 // converting them to canonical doubles (and polar-pair candidates) in bulk.
 //
 // Each table is produced by one translation unit compiled for one target
-// ISA -- rng_kernels_{scalar,sse2,avx2,avx512}.cpp all include
+// ISA -- rng_kernels_{scalar,avx2,avx512}.cpp all include
 // rng_kernels_body.inc with different compiler flags -- and rng.cpp picks a
 // table through cpu::active_path(). Every path performs the identical IEEE
 // operations per word (the two-halves u64->double conversion with its
@@ -39,7 +39,6 @@ struct rng_kernel_table {
 /// Per-path table getters; nullptr when the build could not compile that
 /// ISA (missing -m flag support, non-x86 target). scalar is never null.
 const rng_kernel_table* scalar_rng_kernel_table();
-const rng_kernel_table* sse2_rng_kernel_table();
 const rng_kernel_table* avx2_rng_kernel_table();
 const rng_kernel_table* avx512_rng_kernel_table();
 

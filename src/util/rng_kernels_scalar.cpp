@@ -1,7 +1,6 @@
 // Scalar instantiation of the bulk deviate conversions: compiled with the
 // auto-vectorizer disabled (-fno-tree-vectorize) so it is the genuinely
-// scalar oracle every wider path is compared against, not just a copy of
-// the baseline-autovectorized sse2 path.
+// scalar oracle every wider path is compared against.
 #include "util/rng_kernels.h"
 
 #define NWDEC_RNG_KERNEL_PATH_NAME "scalar"

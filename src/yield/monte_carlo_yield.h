@@ -78,7 +78,8 @@ struct mc_options {
   /// Structural defect injection, sampled per trial when set.
   std::optional<fab::defect_params> defects;
   /// Process sigma override in volts; the design technology's sigma_vt
-  /// when unset (yield_sweep uses this to scan sigma on one context).
+  /// when unset (core::sweep_engine uses this to scan sigma on one
+  /// cached context).
   std::optional<double> sigma_vt;
 };
 
@@ -90,9 +91,9 @@ mc_yield_result monte_carlo_yield(const decoder::decoder_design& design,
                                   const crossbar::contact_group_plan& plan,
                                   const mc_options& options, rng& random);
 
-/// Engine core on a prebuilt context: the amortized path yield_sweep uses
-/// to run many grid points without re-deriving the per-design tables.
-/// `run_key` seeds the per-trial counter-based streams.
+/// Engine core on a prebuilt context: the amortized path for running many
+/// grid points without re-deriving the per-design tables. `run_key` seeds
+/// the per-trial counter-based streams.
 mc_yield_result monte_carlo_yield(const trial_context& context,
                                   const mc_options& options,
                                   std::uint64_t run_key);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "util/error.h"
 
 namespace nwdec::core {
@@ -94,11 +98,66 @@ TEST(GridTest, YieldGridCoversTheFigureSeries) {
   EXPECT_EQ(f7.size(), 2u * 3u + 2u * 3u);
 }
 
+std::vector<design_evaluation> run_on_paper_platform(
+    const std::vector<design_point>& grid, std::size_t mc_trials = 0,
+    std::uint64_t seed = 1) {
+  return run_yield_experiment(crossbar::crossbar_spec{},
+                              device::paper_technology(), grid, mc_trials,
+                              seed);
+}
+
+TEST(YieldExperimentTest, EvaluationIsInternallyConsistent) {
+  const design_evaluation e =
+      run_on_paper_platform({{codes::code_type::gray, 2, 8}}).front();
+  EXPECT_EQ(e.code_space, 16u);
+  EXPECT_EQ(e.fabrication_steps, 40u);  // 2N for binary, N = 20
+  EXPECT_NEAR(e.crosspoint_yield, e.nanowire_yield * e.nanowire_yield, 1e-12);
+  EXPECT_NEAR(e.effective_bits, e.crosspoint_yield * 131072.0, 1e-6);
+  EXPECT_NEAR(e.bit_area_nm2, e.total_area_nm2 / e.effective_bits, 1e-9);
+  EXPECT_FALSE(e.has_monte_carlo);
+}
+
+TEST(YieldExperimentTest, LabelsAreReadable) {
+  const std::vector<design_evaluation> results =
+      run_on_paper_platform({{codes::code_type::balanced_gray, 2, 10},
+                             {codes::code_type::gray, 3, 8}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].point.label(), "BGC-10");
+  EXPECT_EQ(results[1].point.label(), "GC3-8");
+}
+
+TEST(YieldExperimentTest, MonteCarloAttachmentIsSane) {
+  const design_evaluation e =
+      run_on_paper_platform({{codes::code_type::balanced_gray, 2, 8}}, 60, 9)
+          .front();
+  ASSERT_TRUE(e.has_monte_carlo);
+  EXPECT_GT(e.mc_nanowire_yield, 0.0);
+  EXPECT_LE(e.mc_ci_low, e.mc_nanowire_yield);
+  EXPECT_GE(e.mc_ci_high, e.mc_nanowire_yield);
+  // Operational Monte Carlo should not fall far below the analytic model.
+  EXPECT_GT(e.mc_nanowire_yield, e.nanowire_yield - 0.05);
+}
+
+TEST(YieldExperimentTest, ResultsFollowGridOrder) {
+  const std::vector<design_evaluation> results = run_on_paper_platform(
+      {{codes::code_type::tree, 2, 6}, {codes::code_type::hot, 2, 6}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].point.type, codes::code_type::tree);
+  EXPECT_EQ(results[1].point.type, codes::code_type::hot);
+}
+
+TEST(BestBitAreaTest, PicksTheMinimum) {
+  const std::vector<design_evaluation> results =
+      run_on_paper_platform({{codes::code_type::tree, 2, 6},
+                             {codes::code_type::balanced_gray, 2, 10},
+                             {codes::code_type::tree, 2, 8}});
+  const design_evaluation& best = best_bit_area(results);
+  EXPECT_EQ(best.point.type, codes::code_type::balanced_gray);
+  EXPECT_THROW(best_bit_area({}), invalid_argument_error);
+}
+
 TEST(FindEvaluationTest, FindsAndThrows) {
-  const design_explorer explorer(crossbar::crossbar_spec{},
-                                 device::paper_technology());
-  const auto results = run_yield_experiment(
-      explorer, {{codes::code_type::tree, 2, 6}});
+  const auto results = run_on_paper_platform({{codes::code_type::tree, 2, 6}});
   EXPECT_NO_THROW(find_evaluation(results, codes::code_type::tree, 6));
   EXPECT_THROW(find_evaluation(results, codes::code_type::gray, 6),
                not_found_error);

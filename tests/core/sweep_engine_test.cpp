@@ -12,7 +12,7 @@
 #include <sstream>
 
 #include "codes/factory.h"
-#include "core/design_explorer.h"
+#include "core/experiments.h"
 #include "crossbar/area_model.h"
 #include "crossbar/contact_groups.h"
 #include "decoder/decoder_design.h"
@@ -100,7 +100,7 @@ TEST(SweepEngineTest, InvariantUnderGridReordering) {
 
 TEST(SweepEngineTest, McStreamsDependOnlyOnSeedAndPoint) {
   // Attaching or omitting Monte-Carlo on one point must not shift the
-  // streams of the others (the design_explorer::sweep seeding fix).
+  // streams of the others.
   const sweep_engine engine = make_engine();
   sweep_request analytic_head;
   analytic_head.design = {codes::code_type::tree, 2, 6};
@@ -196,15 +196,14 @@ TEST(SweepEngineTest, AxesExpandInDocumentedOrder) {
   EXPECT_THROW(sweep_axes{}.expand(), invalid_argument_error);
 }
 
-TEST(SweepEngineTest, MatchesDesignExplorer) {
-  // design_explorer rides on the engine; both public paths must agree.
-  const design_explorer explorer(crossbar::crossbar_spec{},
-                                 device::paper_technology());
+TEST(SweepEngineTest, MatchesRunYieldExperiment) {
+  // The figure harnesses' entry point rides on the engine in operational
+  // mode; both public paths must agree.
   const sweep_engine engine = make_engine();
   const std::vector<design_point> points = {
       {codes::code_type::hot, 2, 6}, {codes::code_type::arranged_hot, 2, 8}};
-  const std::vector<design_evaluation> via_explorer =
-      explorer.sweep(points, 60, 5);
+  const std::vector<design_evaluation> via_experiment = run_yield_experiment(
+      crossbar::crossbar_spec{}, device::paper_technology(), points, 60, 5);
 
   std::vector<sweep_request> requests(points.size());
   for (std::size_t k = 0; k < points.size(); ++k) {
@@ -215,9 +214,9 @@ TEST(SweepEngineTest, MatchesDesignExplorer) {
   options.seed = 5;
   const sweep_engine_report direct = engine.run(requests, options);
   for (std::size_t k = 0; k < points.size(); ++k) {
-    EXPECT_EQ(via_explorer[k].nanowire_yield,
+    EXPECT_EQ(via_experiment[k].nanowire_yield,
               direct.entries[k].evaluation.nanowire_yield);
-    EXPECT_EQ(via_explorer[k].mc_nanowire_yield,
+    EXPECT_EQ(via_experiment[k].mc_nanowire_yield,
               direct.entries[k].evaluation.mc_nanowire_yield);
   }
 }

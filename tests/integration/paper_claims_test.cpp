@@ -14,16 +14,12 @@ namespace {
 class PaperClaims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    explorer_ = new design_explorer(crossbar::crossbar_spec{},
-                                    device::paper_technology());
-    results_ = new std::vector<design_evaluation>(
-        run_yield_experiment(*explorer_, yield_grid()));
+    results_ = new std::vector<design_evaluation>(run_yield_experiment(
+        crossbar::crossbar_spec{}, device::paper_technology(), yield_grid()));
   }
   static void TearDownTestSuite() {
     delete results_;
-    delete explorer_;
     results_ = nullptr;
-    explorer_ = nullptr;
   }
 
   static const design_evaluation& get(codes::code_type type,
@@ -31,11 +27,9 @@ class PaperClaims : public ::testing::Test {
     return find_evaluation(*results_, type, length);
   }
 
-  static design_explorer* explorer_;
   static std::vector<design_evaluation>* results_;
 };
 
-design_explorer* PaperClaims::explorer_ = nullptr;
 std::vector<design_evaluation>* PaperClaims::results_ = nullptr;
 
 TEST_F(PaperClaims, YieldRisesWithCodeLengthForTreeFamily) {
@@ -121,7 +115,7 @@ TEST_F(PaperClaims, OptimizedCodesReachSub250nm2BitArea) {
 TEST_F(PaperClaims, BestDesignIsBalancedGray10FollowedByArrangedHot) {
   // "the smallest bit area is 169 nm^2 for the balanced Gray code,
   // followed by the arranged hot code".
-  const design_evaluation& best = design_explorer::best_bit_area(*results_);
+  const design_evaluation& best = best_bit_area(*results_);
   EXPECT_EQ(best.point.type, codes::code_type::balanced_gray);
   EXPECT_EQ(best.point.length, 10u);
 

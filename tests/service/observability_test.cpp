@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "api/dispatch.h"
 #include "service/durable_store.h"
-#include "service/protocol.h"
 #include "service/sweep_service.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -45,14 +45,14 @@ TEST(ObservabilityStatsTest, LegacyStatsWireShapeIsByteIdentical) {
       R"("plans_built":2,"plan_reuses":2}}})"
       "\n";
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   for (const std::string& line : kSmokeScript) handler.handle_line(line);
   EXPECT_EQ(handler.handle_line(R"({"id": 4, "kind": "stats"})"), golden);
 }
 
 TEST(ObservabilityStatsTest, DetailAddsUptimeQueueDepthAndLatency) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(kSmokeScript[0]);
   const std::string detail =
       handler.handle_line(R"({"id":9,"kind":"stats","detail":true})");
@@ -67,7 +67,7 @@ TEST(ObservabilityStatsTest, DetailAddsUptimeQueueDepthAndLatency) {
 
 TEST(ObservabilityMetricsVerbTest, SnapshotsTheRegistryInBand) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(kSmokeScript[0]);
   const std::string response =
       handler.handle_line(R"({"id":7,"kind":"metrics"})");
@@ -84,7 +84,7 @@ TEST(ObservabilityMetricsVerbTest, SnapshotsTheRegistryInBand) {
 
 TEST(ObservabilityTraceTest, StatusOfARanJobCarriesTheSpanObject) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string submitted = handler.handle_line(
       R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],)"
       R"("sigmas_vt":[0.05],"trials":60,"async":true})");
@@ -124,7 +124,7 @@ TEST(ObservabilityCountersTest, StoreCountersTrackAScriptedWorkload) {
   const std::uint64_t misses_before = misses.value();
 
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string request =
       R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],)"
       R"("sigmas_vt":[0.05,0.06],"trials":60})";

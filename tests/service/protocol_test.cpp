@@ -1,14 +1,14 @@
 // The sweep service and its NDJSON protocol: memoized evaluation, the
 // cold / warm / persisted byte-identity of result payloads, and the
 // request grammar's error handling.
-#include "service/protocol.h"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 
+#include "api/dispatch.h"
 #include "service/sweep_service.h"
 #include "util/json.h"
 
@@ -159,7 +159,7 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
   std::string warm;
   {
     sweep_service service = make_service();
-    protocol_handler handler(service, cache.path());
+    api::dispatcher handler(service, {.cache_path = cache.path()});
     cold = handler.handle_line(request);
     warm = handler.handle_line(request);
     EXPECT_NE(cold.find("\"ok\":true"), std::string::npos);
@@ -170,7 +170,7 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
   }
   sweep_service restarted = make_service();
   EXPECT_TRUE(restarted.load_cache(cache.path()));
-  protocol_handler handler(restarted, cache.path());
+  api::dispatcher handler(restarted, {.cache_path = cache.path()});
   const std::string persisted = handler.handle_line(request);
   EXPECT_NE(persisted.find("\"cached\":4"), std::string::npos);
   EXPECT_EQ(result_of(persisted), result_of(cold));
@@ -178,16 +178,37 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
 
 TEST(ProtocolTest, ResponsesAreSingleLines) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string response = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   EXPECT_EQ(response.find('\n'), response.size() - 1);
   EXPECT_EQ(response.back(), '\n');
 }
 
+TEST(ProtocolTest, IdComesBackAsTheSameJsonValueInCompactForm) {
+  // The echoed "id" is the parsed value re-rendered, not the request's
+  // bytes: escapes and number spellings normalize, values never change.
+  sweep_service service = make_service();
+  api::dispatcher handler(service);
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("req-7")", R"("req-7")"},
+      {R"("a\/b")", R"("a/b")"},
+      {"2.50", "2.5"},
+      {"1E2", "100"},
+      {"100000", "1e+05"},
+  };
+  for (const auto& [sent, echoed] : cases) {
+    const std::string response = handler.handle_line(
+        std::string(R"({"id": )") + sent + R"(, "kind": "stats"})");
+    EXPECT_TRUE(response.starts_with(std::string(R"({"id":)") + echoed +
+                                     R"(,"kind":"stats","ok":true)"))
+        << sent << " -> " << response;
+  }
+}
+
 TEST(ProtocolTest, RefineRequestsRunThroughTheService) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string response = handler.handle_line(
       R"({"id": 5, "kind": "refine", "code": "BGC", "length": 8,)"
       R"( "sigma_low": 0.02, "sigma_high": 0.12, "resolution": 0.01})");
@@ -206,7 +227,7 @@ TEST(ProtocolTest, RefineRequestsRunThroughTheService) {
 
 TEST(ProtocolTest, StatsReportStoreAndEngineCounters) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   const std::string stats =
@@ -220,7 +241,7 @@ TEST(ProtocolTest, StatsReportStoreAndEngineCounters) {
 TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
   temp_file cache("nwdec_protocol_flush_test.json");
   sweep_service service = make_service();
-  protocol_handler handler(service, cache.path());
+  api::dispatcher handler(service, {.cache_path = cache.path()});
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   const std::string flushed = handler.handle_line(
@@ -233,7 +254,7 @@ TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
 
   // Without a cache path, flush answers but persists nothing.
   sweep_service memory_only = make_service();
-  protocol_handler no_file(memory_only, "");
+  api::dispatcher no_file(memory_only);
   const std::string unpersisted =
       no_file.handle_line(R"({"kind": "flush"})");
   EXPECT_NE(unpersisted.find("\"persisted\":false"), std::string::npos);
@@ -241,7 +262,7 @@ TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
 
 TEST(ProtocolTest, MalformedAndInvalidRequestsBecomeErrorResponses) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
 
   const std::string garbage = handler.handle_line("not json at all");
   EXPECT_NE(garbage.find("\"id\":null"), std::string::npos);
@@ -293,7 +314,7 @@ TEST(ProtocolTest, MalformedAndInvalidRequestsBecomeErrorResponses) {
 
 TEST(ProtocolTest, AsyncSubmissionReturnsTheJobIdImmediately) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string submitted = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "trials": 80, "async": true})");
@@ -316,7 +337,7 @@ TEST(ProtocolTest, AsyncSubmissionReturnsTheJobIdImmediately) {
 
 TEST(ProtocolTest, StatusAndCancelErrorPathsAnswerWithoutKillingTheLoop) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
 
   const std::string unknown_status =
       handler.handle_line(R"({"id": 1, "kind": "status", "job": 42})");
@@ -351,7 +372,7 @@ TEST(ProtocolTest, StatusAndCancelErrorPathsAnswerWithoutKillingTheLoop) {
 
 TEST(ProtocolTest, DetailStatsExposeClassSizesEvictionsAndJobCounters) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "trials": 50})");
@@ -376,7 +397,7 @@ TEST(ProtocolTest, DetailStatsExposeClassSizesEvictionsAndJobCounters) {
 
 TEST(ProtocolTest, MinHalfWidthRequestsReportTopUpsInTheWrapper) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string loose = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "sigmas_vt": [0.08], "trials": 100000, "min_half_width": 0.05})");
@@ -391,7 +412,7 @@ TEST(ProtocolTest, MinHalfWidthRequestsReportTopUpsInTheWrapper) {
 TEST(ProtocolTest, FlushClearWritesTheFileBeforeDroppingEntries) {
   temp_file cache("nwdec_protocol_flush_order_test.json");
   sweep_service service = make_service();
-  protocol_handler handler(service, cache.path());
+  api::dispatcher handler(service, {.cache_path = cache.path()});
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "trials": 40})");

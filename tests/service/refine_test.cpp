@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "service/protocol.h"
+#include "service/sweep_service.h"
 #include "util/error.h"
 
 namespace nwdec::service {

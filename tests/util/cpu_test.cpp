@@ -17,7 +17,6 @@ namespace {
 // feature combinations this machine cannot produce.
 constexpr std::uint32_t kOsxsave = 1u << 27;
 constexpr std::uint32_t kAvx = 1u << 28;
-constexpr std::uint32_t kSse2 = 1u << 26;
 constexpr std::uint32_t kAvx2 = 1u << 5;
 constexpr std::uint32_t kAvx512f = 1u << 16;
 constexpr std::uint32_t kAvx512bw = 1u << 30;
@@ -25,10 +24,8 @@ constexpr std::uint64_t kXcr0Ymm = 0x6;
 constexpr std::uint64_t kXcr0Zmm = 0xe0;
 
 cpu::cpu_features decode(std::uint32_t max_leaf, std::uint32_t leaf1_ecx,
-                         std::uint32_t leaf1_edx, std::uint32_t leaf7_ebx,
-                         std::uint64_t xcr0) {
-  return cpu::features_from_registers(max_leaf, leaf1_ecx, leaf1_edx,
-                                      leaf7_ebx, xcr0);
+                         std::uint32_t leaf7_ebx, std::uint64_t xcr0) {
+  return cpu::features_from_registers(max_leaf, leaf1_ecx, leaf7_ebx, xcr0);
 }
 
 // RAII guards so the tests leave the process-global dispatch state and the
@@ -54,23 +51,20 @@ struct env_guard {
 };
 
 TEST(CpuFeaturesTest, FullFeatureMachineDecodesEverything) {
-  const cpu::cpu_features f =
-      decode(7, kOsxsave | kAvx, kSse2, kAvx2 | kAvx512f | kAvx512bw,
-             kXcr0Ymm | kXcr0Zmm);
-  EXPECT_TRUE(f.sse2);
+  const cpu::cpu_features f = decode(7, kOsxsave | kAvx,
+                                     kAvx2 | kAvx512f | kAvx512bw,
+                                     kXcr0Ymm | kXcr0Zmm);
   EXPECT_TRUE(f.avx2);
   EXPECT_TRUE(f.avx512f);
   EXPECT_TRUE(f.avx512bw);
-  EXPECT_EQ(cpu::to_string(f), "sse2,avx2,avx512f,avx512bw");
+  EXPECT_EQ(cpu::to_string(f), "avx2,avx512f,avx512bw");
 }
 
 TEST(CpuFeaturesTest, NoOsxsaveMasksAllAvx) {
   // The CPU advertises AVX2/AVX-512 but the OS never enabled XSAVE: the
-  // extended state is unusable, so only SSE2 survives.
-  const cpu::cpu_features f =
-      decode(7, kAvx, kSse2, kAvx2 | kAvx512f | kAvx512bw,
-             kXcr0Ymm | kXcr0Zmm);
-  EXPECT_TRUE(f.sse2);
+  // extended state is unusable, so nothing survives.
+  const cpu::cpu_features f = decode(7, kAvx, kAvx2 | kAvx512f | kAvx512bw,
+                                     kXcr0Ymm | kXcr0Zmm);
   EXPECT_FALSE(f.avx2);
   EXPECT_FALSE(f.avx512f);
   EXPECT_FALSE(f.avx512bw);
@@ -80,7 +74,7 @@ TEST(CpuFeaturesTest, MissingZmmStateMasksAvx512ButNotAvx2) {
   // A kernel that context-switches ymm but not zmm/opmask state (common in
   // VMs): AVX2 stays usable, AVX-512 must be reported off.
   const cpu::cpu_features f = decode(
-      7, kOsxsave | kAvx, kSse2, kAvx2 | kAvx512f | kAvx512bw, kXcr0Ymm);
+      7, kOsxsave | kAvx, kAvx2 | kAvx512f | kAvx512bw, kXcr0Ymm);
   EXPECT_TRUE(f.avx2);
   EXPECT_FALSE(f.avx512f);
   EXPECT_FALSE(f.avx512bw);
@@ -89,38 +83,37 @@ TEST(CpuFeaturesTest, MissingZmmStateMasksAvx512ButNotAvx2) {
 TEST(CpuFeaturesTest, MaxLeafBelowSevenIgnoresLeaf7Bits) {
   // Pre-2013 CPUs stop at leaf < 7; whatever garbage sits in the leaf-7
   // word must not be believed.
-  const cpu::cpu_features f =
-      decode(4, kOsxsave | kAvx, kSse2, kAvx2 | kAvx512f | kAvx512bw,
-             kXcr0Ymm | kXcr0Zmm);
-  EXPECT_TRUE(f.sse2);
+  const cpu::cpu_features f = decode(4, kOsxsave | kAvx,
+                                     kAvx2 | kAvx512f | kAvx512bw,
+                                     kXcr0Ymm | kXcr0Zmm);
   EXPECT_FALSE(f.avx2);
   EXPECT_FALSE(f.avx512f);
 }
 
 TEST(CpuFeaturesTest, Avx512bwRequiresAvx512f) {
-  const cpu::cpu_features f = decode(7, kOsxsave | kAvx, kSse2,
-                                     kAvx2 | kAvx512bw, kXcr0Ymm | kXcr0Zmm);
+  const cpu::cpu_features f =
+      decode(7, kOsxsave | kAvx, kAvx2 | kAvx512bw, kXcr0Ymm | kXcr0Zmm);
   EXPECT_FALSE(f.avx512f);
   EXPECT_FALSE(f.avx512bw);
 }
 
-TEST(CpuFeaturesTest, Sse2BitOffDecodesAsNone) {
-  const cpu::cpu_features f = decode(7, 0, 0, 0, 0);
-  EXPECT_FALSE(f.sse2);
+TEST(CpuFeaturesTest, NoFeatureBitsDecodeAsNone) {
+  const cpu::cpu_features f = decode(7, 0, 0, 0);
+  EXPECT_FALSE(f.avx2);
   EXPECT_EQ(cpu::to_string(f), "none");
 }
 
 TEST(SimdPathTest, NamesRoundTripThroughParse) {
   for (const cpu::simd_path path :
-       {cpu::simd_path::scalar, cpu::simd_path::sse2, cpu::simd_path::avx2,
+       {cpu::simd_path::scalar, cpu::simd_path::avx2,
         cpu::simd_path::avx512}) {
     EXPECT_EQ(cpu::parse_simd_path(cpu::simd_path_name(path)), path);
   }
 }
 
 TEST(SimdPathTest, ParseRejectsUnknownAndCaseVariants) {
-  for (const char* bad : {"", "AVX2", "Scalar", "avx-512", "sse", "avx512vl",
-                          " avx2", "avx2 "}) {
+  for (const char* bad : {"", "AVX2", "Scalar", "avx-512", "sse", "sse2",
+                          "avx512vl", " avx2", "avx2 "}) {
     EXPECT_THROW(cpu::parse_simd_path(bad), invalid_argument_error)
         << "'" << bad << "'";
   }
@@ -131,21 +124,16 @@ TEST(SimdPathTest, ParseRejectsUnknownAndCaseVariants) {
     // The message must name the offender and the valid spellings.
     const std::string what = e.what();
     EXPECT_NE(what.find("turbo"), std::string::npos);
-    EXPECT_NE(what.find("scalar, sse2, avx2, avx512"), std::string::npos);
+    EXPECT_NE(what.find("scalar, avx2, avx512"), std::string::npos);
   }
 }
 
 TEST(SimdPathTest, PathSupportedFollowsTheFeatureLadder) {
   cpu::cpu_features none;
   EXPECT_TRUE(cpu::path_supported(none, cpu::simd_path::scalar));
-  EXPECT_FALSE(cpu::path_supported(none, cpu::simd_path::sse2));
+  EXPECT_FALSE(cpu::path_supported(none, cpu::simd_path::avx2));
 
-  cpu::cpu_features sse2_only;
-  sse2_only.sse2 = true;
-  EXPECT_TRUE(cpu::path_supported(sse2_only, cpu::simd_path::sse2));
-  EXPECT_FALSE(cpu::path_supported(sse2_only, cpu::simd_path::avx2));
-
-  cpu::cpu_features avx2_box = sse2_only;
+  cpu::cpu_features avx2_box;
   avx2_box.avx2 = true;
   EXPECT_TRUE(cpu::path_supported(avx2_box, cpu::simd_path::avx2));
   EXPECT_FALSE(cpu::path_supported(avx2_box, cpu::simd_path::avx512));
@@ -201,7 +189,7 @@ TEST(SimdPathTest, ForcePathRejectsUnavailable) {
   // degrade: the available set is exactly the forceable set.
   const std::vector<cpu::simd_path> available = cpu::available_paths();
   for (const cpu::simd_path path :
-       {cpu::simd_path::sse2, cpu::simd_path::avx2, cpu::simd_path::avx512}) {
+       {cpu::simd_path::avx2, cpu::simd_path::avx512}) {
     bool is_available = false;
     for (const cpu::simd_path a : available) is_available |= a == path;
     if (is_available) continue;

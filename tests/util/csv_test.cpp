@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
@@ -21,7 +22,12 @@ std::string slurp(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/nwdec_csv_test.csv";
+  // One file per test: ctest -j runs the tests of this fixture as
+  // concurrent processes, which must not share a path.
+  std::string path_ =
+      ::testing::TempDir() + "/nwdec_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WritesHeaderAndRows) {

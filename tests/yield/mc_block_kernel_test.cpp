@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "codes/factory.h"
-#include "core/sweep_engine.h"
 #include "crossbar/contact_groups.h"
 #include "device/tech_params.h"
 #include "util/error.h"
@@ -157,39 +156,6 @@ TEST(McBlockKernelTest, ResumeSchedulesAgreeAcrossBlockSizes) {
     options.trials = 120;
     expect_bit_identical(fixed, resumed,
                          "block " + std::to_string(block));
-  }
-}
-
-TEST(McBlockKernelTest, SweepEngineBlockSizeIsAPerfKnobOnly) {
-  // The engine plumbing: mc_block_size must never change a report.
-  crossbar::crossbar_spec spec;
-  spec.nanowires_per_half_cave = 20;
-  const device::technology tech = device::paper_technology();
-  core::sweep_axes axes;
-  axes.designs = {{codes::code_type::gray, 2, 8},
-                  {codes::code_type::tree, 2, 8}};
-  axes.sigmas_vt = {0.04, 0.06};
-  axes.mc_trials = 90;
-
-  const core::sweep_engine engine(spec, tech);
-  core::sweep_engine_options options;
-  options.threads = 2;
-  options.seed = 2009;
-  options.mc_block_size = 1;
-  const core::sweep_engine_report oracle = engine.run(axes, options);
-  for (const std::size_t block : {0UL, 16UL, 64UL}) {
-    options.mc_block_size = block;
-    const core::sweep_engine_report got = engine.run(axes, options);
-    ASSERT_EQ(oracle.entries.size(), got.entries.size());
-    for (std::size_t k = 0; k < oracle.entries.size(); ++k) {
-      const core::design_evaluation& a = oracle.entries[k].evaluation;
-      const core::design_evaluation& b = got.entries[k].evaluation;
-      EXPECT_EQ(a.mc_nanowire_yield, b.mc_nanowire_yield)
-          << "block " << block << " entry " << k;
-      EXPECT_EQ(a.mc_ci_low, b.mc_ci_low);
-      EXPECT_EQ(a.mc_ci_high, b.mc_ci_high);
-      EXPECT_EQ(oracle.entries[k].mc_trials_used, got.entries[k].mc_trials_used);
-    }
   }
 }
 

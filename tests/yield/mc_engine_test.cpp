@@ -1,6 +1,6 @@
 // Determinism and correctness of the zero-allocation Monte-Carlo engine:
 // bit-identical results across thread counts, agreement with the legacy
-// scalar reference, and the batched yield_sweep API.
+// scalar reference, and sigma scans on one prebuilt context.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "util/error.h"
 #include "yield/analytic_yield.h"
 #include "yield/monte_carlo_yield.h"
-#include "yield/yield_sweep.h"
 
 namespace nwdec::yield {
 namespace {
@@ -145,6 +144,25 @@ TEST(McEngineTest, SigmaOverrideDefaultsToTechnologySigma) {
   expect_bit_identical(implicit, explicit_sigma);
 }
 
+TEST(McEngineTest, SigmaScanOnOneContextFallsMonotonically) {
+  // One prebuilt context serves every sigma through the override; more
+  // process variability must cost yield.
+  fixture f;
+  const trial_context context(f.design, f.plan);
+  mc_options options;
+  options.mode = mc_mode::window;
+  options.trials = 300;
+  options.threads = 2;
+  std::vector<double> yields;
+  for (const double sigma : {0.02, 0.05, 0.09}) {
+    options.sigma_vt = sigma;
+    yields.push_back(monte_carlo_yield(context, options, 2009).nanowire_yield);
+  }
+  EXPECT_GE(yields[0], yields[1]);
+  EXPECT_GE(yields[1], yields[2]);
+  EXPECT_GT(yields[0], yields[2]);
+}
+
 TEST(McEngineTest, PrebuiltContextMatchesConvenienceOverload) {
   fixture f;
   mc_options options;
@@ -251,90 +269,6 @@ TEST(McEngineResumeTest, ReportsTheMergedEstimate) {
   // More trials tighten the normal-approximation CI (same distribution).
   EXPECT_LE(after_second.ci.high - after_second.ci.low,
             after_first.ci.high - after_first.ci.low);
-}
-
-TEST(YieldSweepTest, ReproducibleAndMonotoneInSigma) {
-  fixture f;
-  const std::vector<sweep_point> grid = {
-      {0.02, 300, std::nullopt}, {0.05, 300, std::nullopt},
-      {0.09, 300, std::nullopt}};
-  const sweep_report a =
-      yield_sweep(f.design, f.plan, mc_mode::window, grid, 2, 2009);
-  const sweep_report b =
-      yield_sweep(f.design, f.plan, mc_mode::window, grid, 8, 2009);
-  ASSERT_EQ(a.entries.size(), 3u);
-  ASSERT_EQ(b.entries.size(), 3u);
-  for (std::size_t k = 0; k < 3; ++k) {
-    expect_bit_identical(a.entries[k].result, b.entries[k].result);
-  }
-  EXPECT_GT(a.entries[0].result.nanowire_yield,
-            a.entries[2].result.nanowire_yield);
-}
-
-TEST(YieldSweepTest, MatchesPointwiseEngineRuns) {
-  // Point k's run key is rng::from_counter(seed, k).seed() -- purely
-  // positional, so each grid point can be reproduced in isolation.
-  fixture f;
-  const std::vector<sweep_point> grid = {
-      {0.04, 150, std::nullopt},
-      {0.06, 200, fab::defect_params{0.05, 0.0}}};
-  const sweep_report report =
-      yield_sweep(f.design, f.plan, mc_mode::operational, grid, 1, 77);
-
-  const trial_context context(f.design, f.plan);
-  for (std::size_t k = 0; k < grid.size(); ++k) {
-    mc_options options;
-    options.mode = mc_mode::operational;
-    options.trials = grid[k].trials;
-    options.threads = 1;
-    options.defects = grid[k].defects;
-    options.sigma_vt = grid[k].sigma_vt;
-    const std::uint64_t run_key = rng::from_counter(77, k).seed();
-    const mc_yield_result expected =
-        monte_carlo_yield(context, options, run_key);
-    expect_bit_identical(report.entries[k].result, expected);
-  }
-}
-
-TEST(YieldSweepTest, PointSeedingIsPositional) {
-  // Dropping the first grid point must not shift the streams of the rest:
-  // point k of the shorter sweep is not point k+1 of the longer one, but
-  // re-running any point at its own index reproduces it exactly.
-  fixture f;
-  const std::vector<sweep_point> full = {{0.04, 100, std::nullopt},
-                                         {0.06, 100, std::nullopt},
-                                         {0.08, 100, std::nullopt}};
-  const std::vector<sweep_point> head = {full[0], full[1]};
-  const sweep_report a =
-      yield_sweep(f.design, f.plan, mc_mode::window, full, 1, 11);
-  const sweep_report b =
-      yield_sweep(f.design, f.plan, mc_mode::window, head, 1, 11);
-  expect_bit_identical(a.entries[0].result, b.entries[0].result);
-  expect_bit_identical(a.entries[1].result, b.entries[1].result);
-}
-
-TEST(YieldSweepTest, JsonRecordsEveryGridPoint) {
-  fixture f;
-  const std::vector<sweep_point> grid = {{0.03, 50, std::nullopt},
-                                         {0.05, 50, std::nullopt}};
-  const sweep_report report =
-      yield_sweep(f.design, f.plan, mc_mode::operational, grid, 1, 5);
-  const std::string json = to_json(report);
-  EXPECT_NE(json.find("\"bench\": \"yield_sweep\""), std::string::npos);
-  EXPECT_NE(json.find("\"mode\": \"operational\""), std::string::npos);
-  std::size_t points = 0;
-  for (std::size_t pos = json.find("\"sigma_vt\""); pos != std::string::npos;
-       pos = json.find("\"sigma_vt\"", pos + 1)) {
-    ++points;
-  }
-  EXPECT_EQ(points, 2u);
-}
-
-TEST(YieldSweepTest, EmptyGridRejected) {
-  fixture f;
-  EXPECT_THROW(
-      yield_sweep(f.design, f.plan, mc_mode::window, {}, 1, 1),
-      invalid_argument_error);
 }
 
 }  // namespace

@@ -64,6 +64,7 @@
 #include "service/durable_store.h"
 #include "service/sweep_service.h"
 #include "util/cli.h"
+#include "util/cpu.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/log.h"
@@ -182,6 +183,11 @@ int main(int argc, char** argv) {
     // Fault injection for the crash-safety tests and CI smoke: inert (and
     // free) unless NWDEC_FAILPOINT is set in the environment.
     failpoints::arm_from_env();
+
+    // Pin the SIMD dispatch path before serving: a bad NWDEC_SIMD_PATH
+    // ends the daemon here with one fatal record, not later inside an
+    // engine worker thread.
+    cpu::active_path();
 
     service::service_options options;
     options.threads = get_size(cli, "threads");

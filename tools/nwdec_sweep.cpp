@@ -114,9 +114,6 @@ int main(int argc, char** argv) {
   cli.add_double("bridge", 0.0, "bridged-nanowire probability (defect axis)");
   cli.add_int("raw-kb", 16, "raw crossbar capacity [kB]");
   cli.add_int("threads", 0, "worker threads (0 = hardware)");
-  cli.add_int("mc-block", 0,
-              "trials per batched-kernel block (0 = kernel default, 1 = "
-              "scalar per-trial path; results are bit-identical either way)");
   cli.add_int("seed", 2009,
               "base seed (each point's MC stream is a pure function of the "
               "seed and the point itself)");
@@ -178,7 +175,6 @@ int main(int argc, char** argv) {
     options.mode = cli.get_string("mode") == "window"
                        ? yield::mc_mode::window
                        : yield::mc_mode::operational;
-    options.mc_block_size = get_size(cli, "mc-block");
 
     const std::string cache_path = cli.get_string("cache");
     const double min_half_width = cli.get_double("min-half-width");
@@ -198,7 +194,6 @@ int main(int argc, char** argv) {
       service_options.threads = options.threads;
       service_options.seed = options.seed;
       service_options.mode = options.mode;
-      service_options.mc_block_size = options.mc_block_size;
       service::sweep_service service(spec, tech, service_options);
       // A stale or incompatible cache file must not block the sweep: run
       // cold and overwrite it with fresh results (same policy as the
