@@ -4,7 +4,9 @@
 //      be >= 10x faster than the cold computation (it is a map lookup per
 //      point instead of a Monte-Carlo run), and the repeat's payload must
 //      be byte-identical to the cold one, served from memory AND from a
-//      persisted cache file reloaded by a fresh service.
+//      persisted cache file reloaded by a fresh service. Each leg times
+//      what a request pays: evaluate() plus the compact render of its
+//      payload.
 //   2. Adaptive trial budgets -- CI-width stopping (service/adaptive_budget)
 //      spends trials where the yield estimate is noisy (the cliff) and
 //      stops early where it is not, so the Figs. 7/8 grid completes within
@@ -62,6 +64,27 @@ std::size_t get_size(const cli_parser& cli, const std::string& name) {
   return static_cast<std::size_t>(value);
 }
 
+// One request as the daemon answers it: evaluate(), then the compact
+// render of the response payload.
+struct timed_answer {
+  service::sweep_response response;
+  std::string payload;
+  double seconds = 0.0;         ///< evaluate + render
+  double render_seconds = 0.0;  ///< the render alone
+};
+
+timed_answer answer(service::sweep_service& service,
+                    const core::sweep_axes& axes) {
+  timed_answer out;
+  const auto started = std::chrono::steady_clock::now();
+  out.response = service.evaluate(axes);
+  const auto rendering = std::chrono::steady_clock::now();
+  out.payload = service::to_json(out.response, json_writer::style::compact);
+  out.render_seconds = seconds_since(rendering);
+  out.seconds = seconds_since(started);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -103,24 +126,20 @@ int main(int argc, char** argv) {
     service::sweep_service service(crossbar::crossbar_spec{},
                                    device::paper_technology(), options);
 
-    auto started = std::chrono::steady_clock::now();
-    const service::sweep_response cold = service.evaluate(axes);
-    const double cold_seconds = seconds_since(started);
+    const timed_answer cold = answer(service, axes);
+    const timed_answer warm = answer(service, axes);
+    const double cold_seconds = cold.seconds;
+    const double warm_seconds = warm.seconds;
 
-    started = std::chrono::steady_clock::now();
-    const service::sweep_response warm = service.evaluate(axes);
-    const double warm_seconds = seconds_since(started);
-
-    const std::string cold_payload = service::to_json(cold);
     bool ok = true;
     bool payloads_identical = true;
-    if (service::to_json(warm) != cold_payload) {
+    if (warm.payload != cold.payload) {
       std::cerr << "FAIL: warm payload differs from cold payload\n";
       payloads_identical = false;
     }
-    if (warm.cached != warm.points.size()) {
+    if (warm.response.cached != warm.response.points.size()) {
       std::cerr << "FAIL: warm repeat recomputed "
-                << warm.computed << " points\n";
+                << warm.response.computed << " points\n";
       ok = false;
     }
 
@@ -132,11 +151,10 @@ int main(int argc, char** argv) {
     service::sweep_service restarted(crossbar::crossbar_spec{},
                                      device::paper_technology(), options);
     restarted.load_cache(cache_path);
-    started = std::chrono::steady_clock::now();
-    const service::sweep_response persisted = restarted.evaluate(axes);
-    const double persisted_seconds = seconds_since(started);
+    const timed_answer persisted = answer(restarted, axes);
+    const double persisted_seconds = persisted.seconds;
     std::remove(cache_path.c_str());
-    if (service::to_json(persisted) != cold_payload) {
+    if (persisted.payload != cold.payload) {
       std::cerr << "FAIL: persisted payload differs from cold payload\n";
       payloads_identical = false;
     }
@@ -146,14 +164,17 @@ int main(int argc, char** argv) {
         warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0;
     const double persisted_speedup =
         persisted_seconds > 0.0 ? cold_seconds / persisted_seconds : 0.0;
-    std::cout << "cached repeat (" << cold.points.size() << " points, "
-              << trials << " trials each):\n"
+    std::cout << "cached repeat (" << cold.response.points.size()
+              << " points, " << trials
+              << " trials each; evaluate + compact render):\n"
               << "  cold      " << format_fixed(cold_seconds * 1e3, 2)
               << " ms\n"
               << "  warm      " << format_fixed(warm_seconds * 1e3, 3)
               << " ms  (" << format_fixed(speedup, 1) << "x)\n"
               << "  persisted " << format_fixed(persisted_seconds * 1e3, 3)
               << " ms  (" << format_fixed(persisted_speedup, 1) << "x)\n"
+              << "  render    " << format_fixed(warm.render_seconds * 1e3, 3)
+              << " ms  (the warm leg's compact to_json)\n"
               << "  payloads byte-identical: "
               << (payloads_identical ? "yes" : "NO") << "\n\n";
     if (speedup < 10.0) {
@@ -173,7 +194,7 @@ int main(int argc, char** argv) {
 
     core::sweep_axes capped = axes;
     capped.mc_trials = adaptive_cap;
-    started = std::chrono::steady_clock::now();
+    auto started = std::chrono::steady_clock::now();
     const service::sweep_response adaptive_run =
         adaptive_service.evaluate(capped);
     const double adaptive_seconds = seconds_since(started);
@@ -355,7 +376,7 @@ int main(int argc, char** argv) {
       json_writer json;
       json.begin_object()
           .field("bench", "service")
-          .field("points", cold.points.size())
+          .field("points", cold.response.points.size())
           .field("trials", trials)
           .field("seed", options.seed)
           .field("threads", options.threads)
@@ -366,6 +387,7 @@ int main(int argc, char** argv) {
           .field("cold_seconds", cold_seconds)
           .field("warm_seconds", warm_seconds)
           .field("warm_speedup", speedup)
+          .field("warm_render_seconds", warm.render_seconds)
           .field("persisted_seconds", persisted_seconds)
           .field("persisted_speedup", persisted_speedup)
           .field("payloads_identical", payloads_identical);

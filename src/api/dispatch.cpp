@@ -21,6 +21,14 @@ json_writer begin_response(const json_value& id, const char* kind) {
   return json;
 }
 
+// Closes the envelope begin_response() opened: an "ok": true line.
+reply finish(json_writer& json) { return {json.end_object().str(), true, ""}; }
+
+reply error_reply(const json_value& id, const std::string& what,
+                  const char* code = "") {
+  return {error_response_json(id, what, code), false, code};
+}
+
 }  // namespace
 
 std::string error_response_json(const json_value& id,
@@ -46,6 +54,10 @@ dispatcher::dispatcher(service::sweep_service& service, options opts)
                            opts.dedup_window}) {}
 
 std::string dispatcher::handle_line(const std::string& line) {
+  return respond(line).line;
+}
+
+reply dispatcher::respond(const std::string& line) {
   json_value id;  // null until the request parses far enough to carry one
   try {
     NWDEC_FAILPOINT("api.dispatch.handle_line");
@@ -60,13 +72,13 @@ std::string dispatcher::handle_line(const std::string& line) {
     return std::visit([this](const auto& r) { return handle(r); }, parsed);
   } catch (const overloaded_error& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what(), "overloaded");
+    return error_reply(id, failure.what(), "overloaded");
   } catch (const conflict_error& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what(), "request_id_conflict");
+    return error_reply(id, failure.what(), "request_id_conflict");
   } catch (const std::exception& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what());
+    return error_reply(id, failure.what());
   }
 }
 
@@ -75,17 +87,17 @@ std::string dispatcher::handle_line(const std::string& line) {
 // "topped_up" member is new with the CI-target feature and appears only
 // when the request asked for one (or a fixed-budget point actually
 // resumed), so legacy requests keep their exact PR 3 responses.
-std::string dispatcher::sync_response(const json_value& id,
-                                      const job_result& job) {
+reply dispatcher::sync_response(const json_value& id,
+                                const job_result& job) {
   if (job.status.state == job_state::failed) {
-    return error_response_json(id, job.status.error);
+    return error_reply(id, job.status.error);
   }
   if (job.status.state == job_state::cancelled) {
-    return error_response_json(id, "the job was cancelled");
+    return error_reply(id, "the job was cancelled");
   }
   if (job.status.state == job_state::timed_out) {
-    return error_response_json(id, "the job's timeout_ms deadline expired",
-                               "timed_out");
+    return error_reply(id, "the job's timeout_ms deadline expired",
+                       "timed_out");
   }
   if (job.status.state != job_state::done) {
     // Only a scheduler shutdown releases a synchronous wait before the
@@ -93,7 +105,7 @@ std::string dispatcher::sync_response(const json_value& id,
     // payload as success. The job never ran, so "draining" tells a
     // resilient client the request is safe to retry against the
     // restarted daemon.
-    return error_response_json(
+    return error_reply(
         id, "the service is shutting down before the job could run",
         "draining");
   }
@@ -102,7 +114,7 @@ std::string dispatcher::sync_response(const json_value& id,
   write_result_fields(json, result_payload{job.status.kind, job.sweep,
                                            job.refined,
                                            job.report_topped_up});
-  return json.end_object().str();
+  return finish(json);
 }
 
 // Shared submit path of the two job kinds: async submissions answer the
@@ -111,7 +123,7 @@ std::string dispatcher::sync_response(const json_value& id,
 // CURRENT state (it may already be running or done) plus
 // "deduplicated": true; first-time submissions keep their exact legacy
 // bytes, so the committed golden is unchanged.
-std::string dispatcher::submit_job(const request& parsed, const char* kind) {
+reply dispatcher::submit_job(const request& parsed, const char* kind) {
   const json_value& id = header_of(parsed).client_id;
   // Store-aware admission applies to synchronous sweeps only: async
   // submissions and refines need a job id, so they always enqueue.
@@ -144,32 +156,31 @@ std::string dispatcher::submit_job(const request& parsed, const char* kind) {
     } else {
       json.field("state", "queued");
     }
-    return json.end_object().str();
+    return finish(json);
   }
   const std::optional<job_result> done = scheduler_.wait(job);
   if (!done.has_value()) {
-    return error_response_json(id, "the job result expired unfetched");
+    return error_reply(id, "the job result expired unfetched");
   }
   return sync_response(id, *done);
 }
 
-std::string dispatcher::handle(const sweep_request& request) {
+reply dispatcher::handle(const sweep_request& request) {
   return submit_job(request, "sweep");
 }
 
-std::string dispatcher::handle(const refine_request& request) {
+reply dispatcher::handle(const refine_request& request) {
   return submit_job(request, "refine");
 }
 
-std::string dispatcher::handle(const status_request& request) {
+reply dispatcher::handle(const status_request& request) {
   const json_value& id = request.header.client_id;
   const std::optional<job_result> job =
       request.wait ? scheduler_.wait(request.job)
                    : scheduler_.inspect(request.job);
   if (!job.has_value()) {
-    return error_response_json(
-        id, "unknown job id " + std::to_string(request.job) +
-                " (never submitted, or already forgotten)");
+    return error_reply(id, "unknown job id " + std::to_string(request.job) +
+                               " (never submitted, or already forgotten)");
   }
   json_writer json = begin_response(id, "status");
   json.field("job", job->status.id)
@@ -209,16 +220,16 @@ std::string dispatcher::handle(const status_request& request) {
                                              job->refined,
                                              job->report_topped_up});
   }
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const cancel_request& request) {
+reply dispatcher::handle(const cancel_request& request) {
   const json_value& id = request.header.client_id;
   switch (scheduler_.cancel(request.job)) {
     case cancel_outcome::cancelled: {
       json_writer json = begin_response(id, "cancel");
       json.field("job", request.job).field("state", "cancelled");
-      return json.end_object().str();
+      return finish(json);
     }
     case cancel_outcome::cancelling: {
       // The running evaluation stops at its next cooperative check; a
@@ -226,23 +237,22 @@ std::string dispatcher::handle(const cancel_request& request) {
       // cancelled/done/failed state.
       json_writer json = begin_response(id, "cancel");
       json.field("job", request.job).field("state", "cancelling");
-      return json.end_object().str();
+      return finish(json);
     }
     case cancel_outcome::unknown:
-      return error_response_json(
-          id, "unknown job id " + std::to_string(request.job) +
-                  " (never submitted, or already forgotten)");
+      return error_reply(id, "unknown job id " + std::to_string(request.job) +
+                                 " (never submitted, or already forgotten)");
     case cancel_outcome::finished: break;
   }
   const std::optional<job_result> job = scheduler_.inspect(request.job);
-  return error_response_json(
+  return error_reply(
       id, "job " + std::to_string(request.job) + " is " +
               (job.has_value() ? job_state_name(job->status.state)
                                : "forgotten") +
               " and can no longer be cancelled");
 }
 
-std::string dispatcher::handle(const stats_request& request) {
+reply dispatcher::handle(const stats_request& request) {
   const service::service_stats stats = service_.stats();
   const service::service_options& options = service_.options();
 
@@ -326,10 +336,10 @@ std::string dispatcher::handle(const stats_request& request) {
         .end_object();
   }
   json.end_object();
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const metrics_request& request) {
+reply dispatcher::handle(const metrics_request& request) {
   // The uptime gauge is set here (not continuously) so snapshots are
   // consistent: every value in one response was read at the same moment.
   metrics::registry& registry = metrics::registry::global();
@@ -337,17 +347,17 @@ std::string dispatcher::handle(const metrics_request& request) {
   json_writer json = begin_response(request.header.client_id, "metrics");
   json.key("result");
   metrics::write_json(json, registry.snapshot());
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const flush_request& request) {
+reply dispatcher::handle(const flush_request& request) {
   const service::flush_summary summary =
       service_.flush(cache_path_, request.clear);
   json_writer json = begin_response(request.header.client_id, "flush");
   json.field("persisted", summary.persisted)
       .field("entries", summary.entries)
       .field("cleared", request.clear);
-  return json.end_object().str();
+  return finish(json);
 }
 
 }  // namespace nwdec::api

@@ -12,6 +12,15 @@
 // thread per connection; the stdio loop from one), and the response bytes
 // are the same whichever transport carried the line.
 //
+// Verdict: respond() returns the same line together with the verdict it
+// carries -- `ok` and the error `code` equal what json_parse(line) reads
+// from the line's "ok" and "code" members ("" when it has no "code").
+// Each handler sets the verdict where it renders the line, including the
+// error lines it returns rather than throws (failed, cancelled, timed-out
+// and draining synchronous jobs; unknown or finished job ids; an expired
+// result), so the HTTP gateway maps its status without parsing its own
+// output.
+//
 // Sweep and refine requests become jobs on the scheduler. Synchronous
 // requests (the legacy protocol) submit, wait, and render the completed
 // job in the PR 3 wire shape -- the committed daemon golden pins those
@@ -37,15 +46,14 @@
 
 namespace nwdec::api {
 
-/// One NDJSON request line in, one response line out. Implemented by the
-/// dispatcher; transports depend only on this.
-class line_handler {
- public:
-  virtual ~line_handler() = default;
-  virtual std::string handle_line(const std::string& line) = 0;
+/// One response line and its verdict (see the file comment).
+struct reply {
+  std::string line;
+  bool ok = true;
+  std::string code;
 };
 
-class dispatcher final : public line_handler {
+class dispatcher {
  public:
   struct options {
     /// Scheduler worker threads (0 = hardware concurrency).
@@ -68,7 +76,10 @@ class dispatcher final : public line_handler {
   explicit dispatcher(service::sweep_service& service);
   dispatcher(service::sweep_service& service, options opts);
 
-  std::string handle_line(const std::string& line) override;
+  /// One request line in, one response line and its verdict out.
+  reply respond(const std::string& line);
+  /// respond(line).line.
+  std::string handle_line(const std::string& line);
 
   job_scheduler& scheduler() { return scheduler_; }
 
@@ -77,16 +88,16 @@ class dispatcher final : public line_handler {
   /// wait; request_id retries report their existing job; fully-cached
   /// synchronous sweeps are answered inline by the scheduler's
   /// store-aware admission).
-  std::string submit_job(const request& parsed, const char* kind);
-  std::string handle(const sweep_request& request);
-  std::string handle(const refine_request& request);
-  std::string handle(const status_request& request);
-  std::string handle(const cancel_request& request);
-  std::string handle(const stats_request& request);
-  std::string handle(const flush_request& request);
-  std::string handle(const metrics_request& request);
+  reply submit_job(const request& parsed, const char* kind);
+  reply handle(const sweep_request& request);
+  reply handle(const refine_request& request);
+  reply handle(const status_request& request);
+  reply handle(const cancel_request& request);
+  reply handle(const stats_request& request);
+  reply handle(const flush_request& request);
+  reply handle(const metrics_request& request);
   /// Renders a terminal job in the legacy synchronous wire shape.
-  std::string sync_response(const json_value& id, const job_result& job);
+  reply sync_response(const json_value& id, const job_result& job);
 
   service::sweep_service& service_;
   std::string cache_path_;

@@ -46,16 +46,6 @@ std::string sse_chunk(const job_event& event) {
   return size + frame + "\r\n";
 }
 
-// The response "code" drives the HTTP status of single-request bodies;
-// responses are the dispatcher's own output, so the parse cannot fail.
-int status_of_response_line(const std::string& line) {
-  const json_value root = json_parse(line);
-  const json_value* ok = root.find("ok");
-  const json_value* code = root.find("code");
-  return http::status_for_code(code != nullptr ? code->as_string() : "",
-                               ok != nullptr && ok->as_bool());
-}
-
 }  // namespace
 
 http_transport::http_transport(std::uint16_t port, int backlog,
@@ -74,7 +64,7 @@ std::string http_transport::shed_response() const {
       "too_many_connections", {"Retry-After: 1"});
 }
 
-void http_transport::serve_connection(int client, line_handler& handler) {
+void http_transport::serve_connection(int client, dispatcher& handler) {
   using clock = std::chrono::steady_clock;
   http::request_parser parser(limits().max_request_bytes);
   char chunk[4096];
@@ -146,7 +136,7 @@ void http_transport::serve_connection(int client, line_handler& handler) {
 
 bool http_transport::handle_request(int client,
                                     const http::request& request,
-                                    line_handler& handler) {
+                                    dispatcher& handler) {
   // During drain every response closes so peers reconnect to a live
   // instance instead of queueing more work on a dying one.
   const bool keep_alive = request.keep_alive && !draining();
@@ -204,10 +194,10 @@ bool http_transport::handle_request(int client,
 }
 
 bool http_transport::serve_rpc(int client, const http::request& request,
-                               line_handler& handler, bool keep_alive) {
+                               dispatcher& handler, bool keep_alive) {
   // The body is the NDJSON protocol verbatim: one request per line, each
   // answered with exactly the line the raw socket would produce.
-  std::vector<std::string> responses;
+  std::vector<reply> responses;
   std::size_t cursor = 0;
   while (cursor <= request.body.size()) {
     std::size_t end = request.body.find('\n', cursor);
@@ -216,7 +206,7 @@ bool http_transport::serve_rpc(int client, const http::request& request,
     cursor = end + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    responses.push_back(handler.handle_line(line));
+    responses.push_back(handler.respond(line));
   }
   if (responses.empty()) {
     net::send_all(client,
@@ -229,19 +219,19 @@ bool http_transport::serve_rpc(int client, const http::request& request,
     // status so plain HTTP clients get retry semantics without parsing
     // the body. 503 carries Retry-After, matching the backoff the
     // resilient client applies to the same codes.
-    const int status = status_of_response_line(responses.front());
+    const reply& only = responses.front();
+    const int status = http::status_for_code(only.code, only.ok);
     std::vector<std::string> extra;
     if (status == 503) extra.push_back("Retry-After: 1");
-    return net::send_all(
-               client, http::response(status, "application/json",
-                                      responses.front(), keep_alive,
-                                      extra)) &&
+    return net::send_all(client, http::response(status, "application/json",
+                                                only.line, keep_alive,
+                                                extra)) &&
            keep_alive;
   }
   // A batch answers 200 + NDJSON: per-line verdicts live in the lines,
   // exactly as they do on the socket.
   std::string body;
-  for (const std::string& response : responses) body += response;
+  for (const reply& response : responses) body += response.line;
   return net::send_all(client,
                        http::response(200, "application/x-ndjson", body,
                                       keep_alive)) &&

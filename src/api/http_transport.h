@@ -6,11 +6,13 @@
 //   * POST /v1/rpc -- the NDJSON protocol carried verbatim: the body is
 //     one or more request lines, each dispatched exactly as the raw
 //     socket would (same dispatcher, byte-identical response lines). A
-//     single-line body answers with the HTTP status mapped from the
-//     response's error "code" (http::status_for_code; 503 carries
-//     Retry-After: 1) and Content-Type: application/json; a multi-line
-//     body always answers 200 with application/x-ndjson (per-line
-//     statuses live in the lines themselves, exactly like the socket).
+//     single-line body answers with Content-Type: application/json and
+//     the HTTP status http::status_for_code maps from the verdict
+//     dispatcher::respond returns with the line ("ok" and the error
+//     "code"; the line itself is never parsed again; 503 carries
+//     Retry-After: 1). A multi-line body always answers 200 with
+//     application/x-ndjson (per-line statuses live in the lines
+//     themselves, exactly like the socket).
 //   * GET /v1/jobs/{id}/events[?from=N] -- the job's lifecycle event
 //     stream as Server-Sent Events (Content-Type: text/event-stream,
 //     chunked): one frame per event, `id:` = the event's sequence
@@ -52,7 +54,7 @@ class http_transport final : public socket_server {
   void set_event_source(job_scheduler* scheduler) { scheduler_ = scheduler; }
 
  protected:
-  void serve_connection(int client, line_handler& handler) override;
+  void serve_connection(int client, dispatcher& handler) override;
   std::string shed_response() const override;
   /// Ends every open event stream of the scheduler with the bus's
   /// draining event.
@@ -62,9 +64,9 @@ class http_transport final : public socket_server {
   /// Serves one parsed request; returns false when the connection must
   /// close (error, explicit Connection: close, SSE stream ended).
   bool handle_request(int client, const http::request& request,
-                      line_handler& handler);
+                      dispatcher& handler);
   bool serve_rpc(int client, const http::request& request,
-                 line_handler& handler, bool keep_alive);
+                 dispatcher& handler, bool keep_alive);
   bool serve_metrics(int client, const http::request& request,
                      bool keep_alive);
   /// The SSE pump; always ends the connection.

@@ -71,7 +71,7 @@ void socket_server::shutdown() {
   [[maybe_unused]] const ssize_t n = ::write(wake_write_, &wake, 1);
 }
 
-int socket_server::serve(line_handler& handler) {
+int socket_server::serve(dispatcher& handler) {
   for (;;) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
     const int ready = ::poll(fds, 2, -1);

@@ -69,7 +69,7 @@ class socket_server {
   std::uint16_t port() const { return port_; }
 
   /// Accept loop; returns 0 after shutdown() completes it.
-  int serve(line_handler& handler);
+  int serve(dispatcher& handler);
 
   /// Requests serve() to stop; safe from any thread, idempotent.
   void shutdown();
@@ -106,7 +106,7 @@ class socket_server {
   /// The per-connection protocol loop. Runs on a detached thread; must
   /// NOT close `client` or touch the registration bookkeeping -- the
   /// chassis deregisters and closes after it returns.
-  virtual void serve_connection(int client, line_handler& handler) = 0;
+  virtual void serve_connection(int client, dispatcher& handler) = 0;
 
   /// The bytes an accept past max_connections is answered with before
   /// the immediate close (protocol-appropriate: an NDJSON

@@ -33,7 +33,7 @@ std::string tcp_transport::shed_response() const {
       "too_many_connections");
 }
 
-void tcp_transport::serve_connection(int client, line_handler& handler) {
+void tcp_transport::serve_connection(int client, dispatcher& handler) {
   using clock = std::chrono::steady_clock;
   std::string buffer;
   char chunk[4096];

@@ -48,7 +48,7 @@ class tcp_transport final : public socket_server {
   tcp_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
  protected:
-  void serve_connection(int client, line_handler& handler) override;
+  void serve_connection(int client, dispatcher& handler) override;
   std::string shed_response() const override;
 };
 

@@ -9,7 +9,7 @@ namespace nwdec::api {
 stdio_transport::stdio_transport(std::istream& in, std::ostream& out)
     : in_(in), out_(out) {}
 
-int stdio_transport::serve(line_handler& handler) {
+int stdio_transport::serve(dispatcher& handler) {
   std::string line;
   while (std::getline(in_, line)) {
     if (line.empty()) continue;

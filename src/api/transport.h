@@ -1,9 +1,9 @@
 // api::stdio_transport: the daemon's default ingress -- request lines from
 // stdin, response lines to stdout.
 //
-// Every ingress pumps NDJSON lines through a line_handler (api/dispatch.h)
-// and writes each returned response line back to the requester. Dispatch
-// is transport-agnostic by contract: the same request line produces the
+// Every ingress pumps NDJSON lines through the api::dispatcher
+// (api/dispatch.h) and writes each returned response line back to the
+// requester. Dispatch is transport-agnostic by contract: the same request line produces the
 // same response bytes over stdin, a raw TCP connection
 // (api/tcp_transport.h), or HTTP POST /v1/rpc (api/http_transport.h); CI
 // diffs all three against one golden.
@@ -21,7 +21,7 @@ class stdio_transport {
  public:
   stdio_transport(std::istream& in, std::ostream& out);
   /// Serves requests until EOF; returns a process exit code.
-  int serve(line_handler& handler);
+  int serve(dispatcher& handler);
 
  private:
   std::istream& in_;

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <charconv>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
@@ -17,6 +18,14 @@ const char* kind_name(int k) {
     case 2: return "double";
     default: return "flag";
   }
+}
+
+// Every tool parses its command line before main() has its own error
+// handling in place, so a usage mistake ends the program here.
+[[noreturn]] void usage_error(const std::string& program,
+                              const std::string& what) {
+  std::cerr << program << ": " << what << " (try --help)" << std::endl;
+  std::exit(1);
 }
 
 }  // namespace
@@ -63,7 +72,7 @@ bool cli_parser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
-      throw invalid_argument_error("unexpected positional argument: " + arg);
+      usage_error(program_, "unexpected positional argument: " + arg);
     }
     std::string name = arg.substr(2);
     std::optional<std::string> value;
@@ -73,7 +82,7 @@ bool cli_parser::parse(int argc, const char* const* argv) {
     }
     auto it = options_.find(name);
     if (it == options_.end()) {
-      throw invalid_argument_error("unknown option: --" + name);
+      usage_error(program_, "unknown option: --" + name);
     }
     option& opt = it->second;
     if (!value) {
@@ -81,7 +90,7 @@ bool cli_parser::parse(int argc, const char* const* argv) {
         value = "true";
       } else {
         if (i + 1 >= argc) {
-          throw invalid_argument_error("option --" + name + " needs a value");
+          usage_error(program_, "option --" + name + " needs a value");
         }
         value = argv[++i];
       }

@@ -30,8 +30,11 @@ class cli_parser {
   void add_flag(const std::string& name, const std::string& help);
 
   /// Parses argv. Returns false when --help was requested (help text has
-  /// been printed to stdout and the caller should exit 0). Throws
-  /// invalid_argument_error on unknown options or malformed values.
+  /// been printed to stdout and the caller should exit 0). An unknown
+  /// option, a missing value or a positional argument prints
+  /// "<program>: <what> (try --help)" to stderr and exits with status 1;
+  /// the typed accessors below throw invalid_argument_error on malformed
+  /// values.
   bool parse(int argc, const char* const* argv);
 
   /// Typed accessors; the option must have been declared.

@@ -2,34 +2,46 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/error.h"
 
 namespace nwdec {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+namespace {
+
+// Appends the escaped body of `text` to `out`, copying each run of bytes
+// that needs no escape in one append.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char hex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    const auto c = static_cast<unsigned char>(text[at]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, at - run);
+    run = at + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 0xf]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
+
+std::string json_escape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
@@ -364,9 +376,7 @@ json_value json_parse(const std::string& text) {
 
 // ------------------------------------------------------------ json_writer
 
-void json_writer::indent() {
-  for (std::size_t k = 0; k < stack_.size(); ++k) out_ << "  ";
-}
+void json_writer::indent() { out_.append(2 * stack_.size(), ' '); }
 
 void json_writer::before_value() {
   if (pending_key_) {
@@ -376,10 +386,10 @@ void json_writer::before_value() {
   NWDEC_EXPECTS(stack_.empty() || stack_.back().inside == scope::array,
                 "a value inside an object needs a key() first");
   if (!stack_.empty()) {
-    if (!stack_.back().first) out_ << ",";
+    if (!stack_.back().first) out_ += ',';
     stack_.back().first = false;
     if (style_ == style::pretty) {
-      out_ << "\n";
+      out_ += '\n';
       indent();
     }
   }
@@ -387,7 +397,7 @@ void json_writer::before_value() {
 
 json_writer& json_writer::begin_object() {
   before_value();
-  out_ << "{";
+  out_ += '{';
   stack_.push_back({scope::object, true});
   return *this;
 }
@@ -399,16 +409,16 @@ json_writer& json_writer::end_object() {
   const bool empty = stack_.back().first;
   stack_.pop_back();
   if (!empty && style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "}";
+  out_ += '}';
   return *this;
 }
 
 json_writer& json_writer::begin_array() {
   before_value();
-  out_ << "[";
+  out_ += '[';
   stack_.push_back({scope::array, true});
   return *this;
 }
@@ -419,42 +429,49 @@ json_writer& json_writer::end_array() {
   const bool empty = stack_.back().first;
   stack_.pop_back();
   if (!empty && style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "]";
+  out_ += ']';
   return *this;
 }
 
-json_writer& json_writer::key(const std::string& name) {
+json_writer& json_writer::key(std::string_view name) {
   NWDEC_EXPECTS(!stack_.empty() && stack_.back().inside == scope::object &&
                     !pending_key_,
                 "key() is only valid directly inside an object");
-  if (!stack_.back().first) out_ << ",";
+  if (!stack_.back().first) out_ += ',';
   stack_.back().first = false;
   if (style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "\"" << json_escape(name) << "\":";
-  if (style_ == style::pretty) out_ << " ";
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += style_ == style::pretty ? "\": " : "\":";
   pending_key_ = true;
   return *this;
 }
 
-json_writer& json_writer::raw(const std::string& text) {
+json_writer& json_writer::raw(std::string_view text) {
   before_value();
-  out_ << text;
+  out_ += text;
+  return *this;
+}
+
+json_writer& json_writer::quoted(std::string_view text) {
+  before_value();
+  out_ += '"';
+  append_escaped(out_, text);
+  out_ += '"';
   return *this;
 }
 
 json_writer& json_writer::value(const std::string& text) {
-  return raw("\"" + json_escape(text) + "\"");
+  return quoted(text);
 }
 
-json_writer& json_writer::value(const char* text) {
-  return value(std::string(text));
-}
+json_writer& json_writer::value(const char* text) { return quoted(text); }
 
 json_writer& json_writer::value(double number) {
   // JSON has no inf/nan; map them to null rather than emit garbage.
@@ -464,7 +481,8 @@ json_writer& json_writer::value(double number) {
   char buffer[32];
   const std::to_chars_result result =
       std::to_chars(buffer, buffer + sizeof(buffer), number);
-  return raw(std::string(buffer, result.ptr));
+  return raw(std::string_view(buffer,
+                              static_cast<std::size_t>(result.ptr - buffer)));
 }
 
 json_writer& json_writer::value(bool flag) {
@@ -497,7 +515,10 @@ json_writer& json_writer::value(const json_value& node) {
 std::string json_writer::str() const {
   NWDEC_EXPECTS(stack_.empty() && !pending_key_,
                 "str() called with an unclosed object/array or dangling key");
-  return out_.str() + "\n";
+  std::string document;
+  document.reserve(out_.size() + 1);
+  document.append(out_).push_back('\n');
+  return document;
 }
 
 std::string json_render(const json_value& node,

@@ -16,9 +16,10 @@
 // are built on.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -120,7 +121,9 @@ json_value json_parse(const std::string& text);
 /// line with no whitespace (the daemon's newline-delimited responses).
 /// Usage: begin_object()/key()/value() pairs, nested arrays via
 /// begin_array(); str() renders the document and requires every scope to be
-/// closed.
+/// closed. Every token is appended straight into one std::string: keys and
+/// strings are escaped in place and numbers go through std::to_chars on the
+/// stack, so rendering allocates only when that buffer grows.
 class json_writer {
  public:
   enum class style { pretty, compact };
@@ -134,9 +137,10 @@ class json_writer {
   json_writer& end_array();
 
   /// Emits the key of the next value; only valid directly inside an object.
-  json_writer& key(const std::string& name);
+  json_writer& key(std::string_view name);
 
   json_writer& value(const std::string& text);
+  /// Keeps a string literal from converting to value(bool).
   json_writer& value(const char* text);
   json_writer& value(double number);
   json_writer& value(bool flag);
@@ -147,12 +151,16 @@ class json_writer {
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
   json_writer& value(T number) {
-    return raw(std::to_string(number));
+    char digits[24];  // any 64-bit integer with its sign
+    const std::to_chars_result result =
+        std::to_chars(digits, digits + sizeof(digits), number);
+    return raw(std::string_view(digits,
+                                static_cast<std::size_t>(result.ptr - digits)));
   }
 
   /// key() + value() in one call, for flat objects.
   template <typename T>
-  json_writer& field(const std::string& name, T&& v) {
+  json_writer& field(std::string_view name, T&& v) {
     key(name);
     return value(std::forward<T>(v));
   }
@@ -168,12 +176,13 @@ class json_writer {
     bool first = true;
   };
 
-  json_writer& raw(const std::string& text);
+  json_writer& raw(std::string_view text);
+  json_writer& quoted(std::string_view text);
   void before_value();
   void indent();
 
   style style_ = style::pretty;
-  std::ostringstream out_;
+  std::string out_;
   std::vector<level> stack_;
   bool pending_key_ = false;
 };

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -31,25 +30,12 @@
 #include "service/sweep_service.h"
 #include "util/failpoint.h"
 #include "util/json.h"
+#include "temp_path.h"
 
 namespace nwdec::api {
 namespace {
 
-class temp_dir {
- public:
-  explicit temp_dir(const std::string& name)
-      : path_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~temp_dir() { std::filesystem::remove_all(path_); }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
+using test::temp_dir;
 
 /// One restartable daemon stack: service (optionally durable),
 /// dispatcher, serving TCP transport.

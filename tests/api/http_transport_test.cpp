@@ -258,6 +258,33 @@ TEST(HttpTransportTest, ErrorCodeDrivesTheHttpStatus) {
   EXPECT_NE(body_of(subscribe).find("unknown request kind 'subscribe'"),
             std::string::npos)
       << subscribe;
+
+  // Coded errors: a request_id reused with another payload is 409, and a
+  // synchronous sweep whose timeout_ms expires is 504 (its waiter gives
+  // up at the deadline however far the job got). A success is 200.
+  const std::string keyed =
+      roundtrip(server.port(),
+                post_rpc(R"({"id":1,"kind":"sweep","request_id":"k1",)"
+                         R"("codes":["BGC"],"lengths":[8],)"
+                         R"("sigmas_vt":[0.05],"trials":60})"));
+  EXPECT_EQ(keyed.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << keyed;
+  const std::string conflict =
+      roundtrip(server.port(),
+                post_rpc(R"({"id":2,"kind":"sweep","request_id":"k1",)"
+                         R"("codes":["BGC"],"lengths":[8],)"
+                         R"("sigmas_vt":[0.05],"trials":80})"));
+  EXPECT_EQ(conflict.rfind("HTTP/1.1 409 Conflict\r\n", 0), 0u) << conflict;
+  EXPECT_NE(body_of(conflict).find("\"code\":\"request_id_conflict\""),
+            std::string::npos);
+  const std::string expired =
+      roundtrip(server.port(),
+                post_rpc(R"({"id":3,"kind":"sweep","codes":["BGC"],)"
+                         R"("lengths":[8],"sigmas_vt":[0.06],)"
+                         R"("trials":50000000,"timeout_ms":60})"));
+  EXPECT_EQ(expired.rfind("HTTP/1.1 504 Gateway Timeout\r\n", 0), 0u)
+      << expired;
+  EXPECT_NE(body_of(expired).find("\"code\":\"timed_out\""),
+            std::string::npos);
 }
 
 TEST(HttpTransportTest, TransportLevelRefusals) {

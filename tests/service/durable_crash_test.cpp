@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/json.h"
+#include "temp_path.h"
 
 namespace nwdec::service {
 namespace {
@@ -54,21 +54,7 @@ std::string render_entry(std::uint64_t fingerprint,
   return json.str();
 }
 
-class temp_dir {
- public:
-  explicit temp_dir(const std::string& name)
-      : path_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~temp_dir() { std::filesystem::remove_all(path_); }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
+using test::temp_dir;
 
 const store_header kHeader{2009, yield::mc_mode::operational, 131072, 7, 0};
 

@@ -16,6 +16,7 @@
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/json.h"
+#include "temp_path.h"
 
 namespace nwdec::service {
 namespace {
@@ -47,23 +48,7 @@ std::uint64_t key_of(const stored_result& result) {
   return core::fingerprint(result.request);
 }
 
-// A per-test scratch directory so quarantine files and logs never leak
-// between tests (or runs).
-class temp_dir {
- public:
-  explicit temp_dir(const std::string& name)
-      : path_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~temp_dir() { std::filesystem::remove_all(path_); }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  std::filesystem::path path_;
-};
+using test::temp_dir;
 
 void write_bytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -3,7 +3,6 @@
 // request grammar's error handling.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "api/dispatch.h"
 #include "service/sweep_service.h"
 #include "util/json.h"
+#include "temp_path.h"
 
 namespace nwdec::service {
 namespace {
@@ -28,18 +28,7 @@ core::sweep_request point(double sigma, std::size_t trials = 0) {
   return request;
 }
 
-class temp_file {
- public:
-  explicit temp_file(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~temp_file() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::temp_file;
 
 // ---------------------------------------------------------- sweep_service
 

@@ -5,13 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "core/sweep_engine.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "temp_path.h"
 
 namespace nwdec::service {
 namespace {
@@ -47,18 +46,7 @@ std::uint64_t key_of(const stored_result& result) {
   return core::fingerprint(result.request);
 }
 
-class temp_file {
- public:
-  explicit temp_file(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~temp_file() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::temp_file;
 
 TEST(ResultStoreTest, FindMissesThenHitsAfterInsert) {
   result_store store(8);

@@ -5,13 +5,12 @@
 // query (the purity contract the concurrent scheduler rests on).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "service/sweep_service.h"
 #include "util/stats.h"
+#include "temp_path.h"
 
 namespace nwdec::service {
 namespace {
@@ -31,18 +30,7 @@ core::sweep_request cliff_point(std::size_t cap = 100000) {
   return request;
 }
 
-class temp_file {
- public:
-  explicit temp_file(const std::string& name)
-      : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
-  }
-  ~temp_file() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::temp_file;
 
 TEST(TopUpTest, TightenedTargetResumesAndMatchesColdBitwise) {
   sweep_service warm = make_service();

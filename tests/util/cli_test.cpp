@@ -60,13 +60,15 @@ TEST(CliTest, HelpReturnsFalse) {
 TEST(CliTest, UnknownOptionThrows) {
   cli_parser p = make_parser();
   const char* argv[] = {"prog", "--bogus", "1"};
-  EXPECT_THROW(p.parse(3, argv), invalid_argument_error);
+  EXPECT_EXIT(p.parse(3, argv), ::testing::ExitedWithCode(1),
+              "^prog: unknown option: --bogus \\(try --help\\)\n$");
 }
 
 TEST(CliTest, MissingValueThrows) {
   cli_parser p = make_parser();
   const char* argv[] = {"prog", "--length"};
-  EXPECT_THROW(p.parse(2, argv), invalid_argument_error);
+  EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(1),
+              "^prog: option --length needs a value \\(try --help\\)\n$");
 }
 
 TEST(CliTest, MalformedNumbersThrow) {
@@ -84,7 +86,9 @@ TEST(CliTest, MalformedNumbersThrow) {
 TEST(CliTest, PositionalArgumentsRejected) {
   cli_parser p = make_parser();
   const char* argv[] = {"prog", "stray"};
-  EXPECT_THROW(p.parse(2, argv), invalid_argument_error);
+  EXPECT_EXIT(p.parse(2, argv), ::testing::ExitedWithCode(1),
+              "^prog: unexpected positional argument: stray "
+              "\\(try --help\\)\n$");
 }
 
 TEST(CliTest, TypeMismatchOnAccessThrows) {

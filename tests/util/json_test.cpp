@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <string>
 
 #include "util/error.h"
 #include "util/rng.h"
@@ -119,6 +122,131 @@ TEST(JsonWriterTest, CompactStyleEmitsOneLine) {
   EXPECT_EQ(json.end_object().str(),
             "{\"name\":\"sweep\",\"sigma\":0.05,\"points\":[1,2],"
             "\"empty\":{}}\n");
+}
+
+// Committed bytes, both styles, for every kind of token the writer
+// renders: escaped keys and strings, integer limits, edge doubles, and
+// empty and nested scopes.
+std::string render_both(const std::function<void(json_writer&)>& fill) {
+  std::string both;
+  for (const json_writer::style style :
+       {json_writer::style::compact, json_writer::style::pretty}) {
+    json_writer json(style);
+    fill(json);
+    both += json.str();
+  }
+  return both;
+}
+
+TEST(JsonWriterBytesTest, KeysAndStringsAreEscapedInPlace) {
+  const std::string text = std::string("q\"b\\s\nn\rr\tt") + '\x01' + "!";
+  EXPECT_EQ(render_both([&](json_writer& json) {
+              json.begin_object().field(text, text).end_object();
+            }),
+            R"({"q\"b\\s\nn\rr\tt\u0001!":"q\"b\\s\nn\rr\tt\u0001!"})"
+            "\n"
+            "{\n"
+            R"(  "q\"b\\s\nn\rr\tt\u0001!": "q\"b\\s\nn\rr\tt\u0001!")"
+            "\n}\n");
+}
+
+TEST(JsonWriterBytesTest, IntegerLimits) {
+  EXPECT_EQ(render_both([](json_writer& json) {
+              json.begin_array()
+                  .value(std::numeric_limits<int>::min())
+                  .value(std::numeric_limits<int>::max())
+                  .value(std::numeric_limits<unsigned>::min())
+                  .value(std::numeric_limits<unsigned>::max())
+                  .value(std::numeric_limits<std::size_t>::min())
+                  .value(std::numeric_limits<std::size_t>::max())
+                  .value(std::numeric_limits<std::int64_t>::min())
+                  .value(std::numeric_limits<std::int64_t>::max())
+                  .value(std::numeric_limits<std::uint64_t>::min())
+                  .value(std::numeric_limits<std::uint64_t>::max())
+                  .end_array();
+            }),
+            "[-2147483648,2147483647,0,4294967295,0,18446744073709551615,"
+            "-9223372036854775808,9223372036854775807,0,"
+            "18446744073709551615]\n"
+            "[\n  -2147483648,\n  2147483647,\n  0,\n  4294967295,\n  0,\n"
+            "  18446744073709551615,\n  -9223372036854775808,\n"
+            "  9223372036854775807,\n  0,\n  18446744073709551615\n]\n");
+}
+
+TEST(JsonWriterBytesTest, EdgeDoubles) {
+  EXPECT_EQ(render_both([](json_writer& json) {
+              json.begin_object()
+                  .field("neg_zero", -0.0)
+                  .field("denormal", 5e-324)
+                  .field("e5", 1e+05)
+                  .field("half", 2.5)
+                  .field("big", 1e300)
+                  .field("nan", std::numeric_limits<double>::quiet_NaN())
+                  .field("inf", std::numeric_limits<double>::infinity())
+                  .field("neg_inf", -std::numeric_limits<double>::infinity())
+                  .end_object();
+            }),
+            R"({"neg_zero":-0,"denormal":5e-324,"e5":1e+05,"half":2.5,)"
+            R"("big":1e+300,"nan":null,"inf":null,"neg_inf":null})"
+            "\n"
+            "{\n"
+            "  \"neg_zero\": -0,\n"
+            "  \"denormal\": 5e-324,\n"
+            "  \"e5\": 1e+05,\n"
+            "  \"half\": 2.5,\n"
+            "  \"big\": 1e+300,\n"
+            "  \"nan\": null,\n"
+            "  \"inf\": null,\n"
+            "  \"neg_inf\": null\n"
+            "}\n");
+}
+
+TEST(JsonWriterBytesTest, EmptyAndNestedScopes) {
+  EXPECT_EQ(render_both([](json_writer& json) {
+              json.begin_array().end_array();
+            }),
+            "[]\n[]\n");
+  EXPECT_EQ(render_both([](json_writer& json) {
+              json.begin_object().end_object();
+            }),
+            "{}\n{}\n");
+  EXPECT_EQ(render_both([](json_writer& json) {
+              json.begin_object()
+                  .key("o")
+                  .begin_object()
+                  .end_object()
+                  .key("a")
+                  .begin_array()
+                  .end_array()
+                  .key("n")
+                  .begin_array()
+                  .begin_array()
+                  .end_array()
+                  .begin_object()
+                  .key("k")
+                  .begin_array()
+                  .value(1)
+                  .value("s")
+                  .end_array()
+                  .end_object()
+                  .end_array()
+                  .end_object();
+            }),
+            R"({"o":{},"a":[],"n":[[],{"k":[1,"s"]}]})"
+            "\n"
+            "{\n"
+            "  \"o\": {},\n"
+            "  \"a\": [],\n"
+            "  \"n\": [\n"
+            "    [],\n"
+            "    {\n"
+            "      \"k\": [\n"
+            "        1,\n"
+            "        \"s\"\n"
+            "      ]\n"
+            "    }\n"
+            "  ]\n"
+            "}\n");
 }
 
 // --------------------------------------------------------------- parser
