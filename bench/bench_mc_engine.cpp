@@ -52,23 +52,9 @@ bool identical(const yield::mc_yield_result& a,
          a.ci.high == b.ci.high && a.trials == b.trials;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  cli_parser cli("bench_mc_engine",
-                 "Monte-Carlo yield engine: scalar reference vs "
-                 "zero-allocation multithreaded engine");
-  cli.add_string("code", "GC", "code family (TC/GC/BGC/HC/AHC)");
-  cli.add_int("length", 8, "full code length M");
-  cli.add_int("nanowires", 20, "nanowires per half cave (N)");
-  cli.add_int("trials", 4000, "Monte-Carlo trials per measurement");
-  cli.add_int("threads", 0, "engine worker threads (0 = hardware)");
-  cli.add_int("seed", 2009, "base seed");
-  cli.add_string("mode", "operational", "criterion: window | operational");
-  cli.add_string("json", "BENCH_mc_engine.json", "JSON output path ('' = off)");
-  cli.add_flag("quick", "smoke mode: few trials, for CI");
-  if (!cli.parse(argc, argv)) return 0;
-
+// The bench proper, over a parsed command line; main() turns a throw
+// (a bad --mode or --code) into exit 1.
+int run(const cli_parser& cli) {
   const std::size_t trials = cli.get_flag("quick")
                                  ? 300
                                  : static_cast<std::size_t>(
@@ -78,9 +64,7 @@ int main(int argc, char** argv) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  const yield::mc_mode mode = cli.get_string("mode") == "window"
-                                  ? yield::mc_mode::window
-                                  : yield::mc_mode::operational;
+  const yield::mc_mode mode = yield::parse_mc_mode(cli.get_string("mode"));
 
   const device::technology tech = device::paper_technology();
   const codes::code code =
@@ -102,8 +86,7 @@ int main(int argc, char** argv) {
                 "zero-allocation multithreaded Monte-Carlo yield");
   std::cout << "design: " << codes::code_type_name(code.type) << " M=" <<
       code.length << ", N=" << nanowires << ", mode="
-            << (mode == yield::mc_mode::window ? "window" : "operational")
-            << ", trials=" << trials << "\n"
+            << yield::mc_mode_name(mode) << ", trials=" << trials << "\n"
             << "cpu: " << cpu_features << "; kernel dispatch: "
             << cpu::simd_path_name(default_path) << " (available:";
   for (const cpu::simd_path path : paths) {
@@ -264,9 +247,7 @@ int main(int argc, char** argv) {
         << "  \"code\": \"" << codes::code_type_name(code.type) << "\",\n"
         << "  \"length\": " << code.length << ",\n"
         << "  \"nanowires\": " << nanowires << ",\n"
-        << "  \"mode\": \""
-        << (mode == yield::mc_mode::window ? "window" : "operational")
-        << "\",\n"
+        << "  \"mode\": \"" << yield::mc_mode_name(mode) << "\",\n"
         << "  \"trials\": " << trials << ",\n"
         << "  \"seed\": " << seed << ",\n"
         << "  \"threads\": " << threads << ",\n"
@@ -341,4 +322,28 @@ int main(int argc, char** argv) {
                  kernel_fast_enough
              ? 0
              : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  cli_parser cli("bench_mc_engine",
+                 "Monte-Carlo yield engine: scalar reference vs "
+                 "zero-allocation multithreaded engine");
+  cli.add_string("code", "GC", "code family (TC/GC/BGC/HC/AHC)");
+  cli.add_int("length", 8, "full code length M");
+  cli.add_int("nanowires", 20, "nanowires per half cave (N)");
+  cli.add_int("trials", 4000, "Monte-Carlo trials per measurement");
+  cli.add_int("threads", 0, "engine worker threads (0 = hardware)");
+  cli.add_int("seed", 2009, "base seed");
+  cli.add_string("mode", "operational", "criterion: window | operational");
+  cli.add_string("json", "BENCH_mc_engine.json", "JSON output path ('' = off)");
+  cli.add_flag("quick", "smoke mode: few trials, for CI");
+  if (!cli.parse(argc, argv)) return 0;
+  try {
+    return run(cli);
+  } catch (const std::exception& failure) {
+    std::cerr << "bench_mc_engine: " << failure.what() << "\n";
+    return 1;
+  }
 }

@@ -12,15 +12,12 @@ namespace {
 struct bus_metrics {
   metrics::counter& published;
   metrics::counter& delivered;
-  metrics::counter& overflows;
 
   static bus_metrics& get() {
     static bus_metrics instance = [] {
       metrics::registry& reg = metrics::registry::global();
-      return bus_metrics{
-          reg.get_counter("nwdec_events_published_total"),
-          reg.get_counter("nwdec_events_delivered_total"),
-          reg.get_counter("nwdec_event_subscribers_evicted_total")};
+      return bus_metrics{reg.get_counter("nwdec_events_published_total"),
+                         reg.get_counter("nwdec_events_delivered_total")};
     }();
     return instance;
   }
@@ -38,210 +35,87 @@ std::string render_line(std::uint64_t job, std::uint64_t seq,
 
 }  // namespace
 
-std::optional<job_event> event_subscription::next(int timeout_ms) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-               [this] { return !queue_.empty() || closed_; });
-  if (queue_.empty()) return std::nullopt;
-  job_event event = std::move(queue_.front());
-  queue_.pop_front();
-  return event;
-}
-
-bool event_subscription::closed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return closed_ && queue_.empty();
-}
-
 std::uint64_t event_bus::publish(std::uint64_t job, const char* type,
                                  bool terminal, std::string body) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(job, type, terminal, std::move(body), nullptr);
+  return publish_lazy(job, type, terminal,
+                      [body = std::move(body)] { return body; });
 }
 
+// The one append path: sequence assignment and the history append happen
+// under the bus lock, so history order always equals sequence order.
 std::uint64_t event_bus::publish_lazy(std::uint64_t job, const char* type,
                                       bool terminal, body_fn body) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(job, type, terminal, "", std::move(body));
-}
-
-const std::string& event_bus::line_of(std::uint64_t job,
-                                      stored_event& event) {
-  if (event.line.empty()) {
-    const std::string body = event.lazy ? event.lazy() : "";
-    event.line = render_line(job, event.seq, event.type, body);
-    event.lazy = nullptr;
+  std::uint64_t seq = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_ptr<stream>& entry = streams_[job];
+    if (entry == nullptr) entry = std::make_shared<stream>();
+    entry->history.push_back({type, terminal, "", std::move(body)});
+    seq = entry->history.size();
+    if (terminal) entry->closed = true;
   }
-  return event.line;
-}
-
-void event_bus::push_to(const std::shared_ptr<event_subscription>& subscriber,
-                        const job_event& event) {
-  const std::lock_guard<std::mutex> lock(subscriber->mutex_);
-  if (subscriber->closed_) return;
-  if (subscriber->queue_.size() >= subscriber->capacity_) {
-    // Slow-consumer eviction: drop the backlog this subscriber never
-    // read, replace it with one closing diagnostic, and close. The
-    // client resubscribes from its last PROCESSED seq; the replay then
-    // delivers everything the eviction dropped.
-    const std::size_t dropped = subscriber->queue_.size();
-    subscriber->queue_.clear();
-    job_event overflow;
-    overflow.job = event.job;
-    overflow.seq = event.seq;
-    overflow.type = "event_overflow";
-    overflow.closing = true;
-    overflow.line = render_line(
-        event.job, event.seq, "event_overflow",
-        ",\"code\":\"event_overflow\",\"dropped\":" + std::to_string(dropped));
-    subscriber->queue_.push_back(std::move(overflow));
-    subscriber->closed_ = true;
-    bus_metrics::get().overflows.inc();
-    subscriber->cv_.notify_all();
-    return;
-  }
-  subscriber->queue_.push_back(event);
-  if (event.terminal || event.closing) subscriber->closed_ = true;
-  bus_metrics::get().delivered.inc();
-  subscriber->cv_.notify_all();
-}
-
-// Caller holds mutex_. The one append path: sequence assignment, body
-// rendering, history append, and fan-out happen atomically, so delivery
-// order always equals sequence order.
-std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
-                                        bool terminal, std::string body,
-                                        body_fn lazy) {
-  stream& entry = streams_[job];
-  stored_event event;
-  event.seq = entry.next_seq++;
-  event.type = type;
-  event.terminal = terminal;
   bus_metrics::get().published.inc();
-
-  // Prune dead/closed subscribers, keep the live ones.
-  std::vector<std::shared_ptr<event_subscription>> live;
-  live.reserve(entry.subscribers.size());
-  for (const std::weak_ptr<event_subscription>& weak : entry.subscribers) {
-    const std::shared_ptr<event_subscription> subscriber = weak.lock();
-    if (subscriber == nullptr) continue;
-    {
-      const std::lock_guard<std::mutex> lock(subscriber->mutex_);
-      if (subscriber->closed_) continue;
-    }
-    live.push_back(subscriber);
-  }
-
-  if (lazy != nullptr && live.empty()) {
-    // Nobody is watching: keep the body unrendered. A terminal `done`
-    // body is the full result payload, so jobs without subscribers never
-    // pay the render; the first replay that needs it materializes it.
-    event.lazy = std::move(lazy);
-  } else {
-    if (lazy != nullptr) body = lazy();
-    event.line = render_line(job, event.seq, type, body);
-  }
-
-  if (!live.empty()) {
-    job_event out;
-    out.job = job;
-    out.seq = event.seq;
-    out.type = event.type;
-    out.terminal = terminal;
-    out.line = event.line;
-    for (const std::shared_ptr<event_subscription>& subscriber : live) {
-      push_to(subscriber, out);
-    }
-  }
-
-  entry.subscribers.clear();
-  if (!terminal) {
-    for (const std::shared_ptr<event_subscription>& subscriber : live) {
-      entry.subscribers.push_back(subscriber);
-    }
-  }
-  if (terminal) entry.terminal = true;
-  const std::uint64_t seq = event.seq;
-  entry.history.push_back(std::move(event));
+  published_.notify_all();
   return seq;
 }
 
-std::shared_ptr<event_subscription> event_bus::subscribe(
+std::optional<event_bus::cursor> event_bus::subscribe(
     std::uint64_t job, std::uint64_t from_seq) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto found = streams_.find(job);
-  if (found == streams_.end()) return nullptr;
-  stream& entry = found->second;
+  if (found == streams_.end()) return std::nullopt;
+  return cursor(job, found->second, from_seq);
+}
 
-  auto subscriber = std::make_shared<event_subscription>();
-  subscriber->capacity_ = options_.subscriber_capacity;
-  subscriber->job_ = job;
-  // Replay bypasses the capacity bound: history length is bounded by the
-  // job's lifecycle (a handful of events plus refine progress), and a
-  // replay that evicted its own subscriber could never catch up.
-  for (stored_event& event : entry.history) {
-    if (event.seq <= from_seq) continue;
-    job_event out;
-    out.job = job;
-    out.seq = event.seq;
-    out.type = event.type;
-    out.terminal = event.terminal;
-    out.line = line_of(job, event);
-    subscriber->queue_.push_back(std::move(out));
+std::optional<job_event> event_bus::next(cursor& reader, int timeout_ms) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  stream& entry = *reader.stream_;
+  const bool ready =
+      !reader.ended_ &&
+      published_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+        return reader.seq_ < entry.history.size() || entry.closed ||
+               draining_;
+      });
+  if (!ready) return std::nullopt;
+  if (reader.seq_ < entry.history.size()) {
+    stored_event& event = entry.history[reader.seq_];
+    const std::uint64_t seq = ++reader.seq_;
+    if (event.body != nullptr) {
+      // First read renders, under the lock so that it happens once.
+      event.line = render_line(reader.job_, seq, event.type, event.body());
+      event.body = nullptr;
+    }
+    reader.ended_ = event.terminal;
     bus_metrics::get().delivered.inc();
+    return job_event{seq, event.type, event.terminal, event.line};
   }
-  if (entry.terminal) {
-    // Subscribe-after-terminal: the replay (possibly empty, when the
-    // client already saw everything) is all there will ever be.
-    subscriber->closed_ = true;
-  } else {
-    entry.subscribers.emplace_back(subscriber);
-  }
-  return subscriber;
+  // Read to the end of a stream that will never grow (terminal delivered,
+  // or forgotten), or the drain began.
+  reader.ended_ = true;
+  if (entry.closed) return std::nullopt;
+  const std::uint64_t seq = entry.history.size() + 1;  // not consumed
+  return job_event{
+      seq, "draining", false,
+      render_line(reader.job_, seq, "draining", ",\"code\":\"draining\"")};
 }
 
 void event_bus::forget(std::uint64_t job) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto found = streams_.find(job);
-  if (found == streams_.end()) return;
-  for (const std::weak_ptr<event_subscription>& weak :
-       found->second.subscribers) {
-    if (const std::shared_ptr<event_subscription> subscriber = weak.lock()) {
-      const std::lock_guard<std::mutex> sub_lock(subscriber->mutex_);
-      subscriber->closed_ = true;
-      subscriber->cv_.notify_all();
-    }
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto found = streams_.find(job);
+    if (found == streams_.end()) return;
+    found->second->closed = true;
+    streams_.erase(found);
   }
-  streams_.erase(found);
+  published_.notify_all();
 }
 
 void event_bus::close_all() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [job, entry] : streams_) {
-    for (const std::weak_ptr<event_subscription>& weak : entry.subscribers) {
-      const std::shared_ptr<event_subscription> subscriber = weak.lock();
-      if (subscriber == nullptr) continue;
-      const std::lock_guard<std::mutex> sub_lock(subscriber->mutex_);
-      if (subscriber->closed_) continue;
-      job_event drain;
-      drain.job = job;
-      drain.seq = entry.next_seq;  // not consumed: no stream gap results
-      drain.type = "draining";
-      drain.closing = true;
-      drain.line = render_line(job, entry.next_seq, "draining",
-                               ",\"code\":\"draining\"");
-      subscriber->queue_.push_back(std::move(drain));
-      subscriber->closed_ = true;
-      subscriber->cv_.notify_all();
-    }
-    entry.subscribers.clear();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    draining_ = true;
   }
-}
-
-std::size_t event_bus::history_size(std::uint64_t job) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto found = streams_.find(job);
-  return found == streams_.end() ? 0 : found->second.history.size();
+  published_.notify_all();
 }
 
 }  // namespace nwdec::api

@@ -1,46 +1,42 @@
-// api::event_bus: per-job lifecycle event streams with bounded fan-out.
+// api::event_bus: per-job lifecycle event streams, one copy of each event.
 //
 // Publishers (the job scheduler, under its own mutex) append events to a
-// per-job stream; each event gets the stream's next monotonic sequence
-// number (1, 2, 3, ... with no gaps -- subscribers detect loss by a gap,
-// and the bus itself never creates one). Subscribers attach with
-// subscribe(job, from_seq) and receive, in order: every already-published
-// event with seq > from_seq (the replay -- this is how a reconnecting
-// client resumes without missing anything), then live events as they are
-// published.
+// per-job stream; each event gets the stream's next sequence number (1, 2,
+// 3, ... with no gaps -- readers detect loss by a gap, and the bus never
+// creates one). The stream's history is the only copy of an event: a
+// reader holds a cursor (the last seq it received), and next() hands it
+// the following stored event or waits for a publish. subscribe(job,
+// from_seq) opens a cursor at from_seq, so the reader first gets every
+// stored event with seq > from_seq (the replay -- how a reconnecting
+// client resumes), then live events. A slow reader misses nothing, and
+// publishing never waits on a reader.
 //
-// Slow consumers are evicted, never waited on: a subscriber whose bounded
-// queue is full when an event arrives has its queued events dropped and
-// replaced by a single closing
-//   {"job": J, "seq": S, "event": "event_overflow",
-//    "code": "event_overflow", "dropped": K}
-// line, after which the subscription is closed -- the client resubscribes
-// from its last processed sequence number and the replay fills the hole.
-// Publishing therefore never blocks on any subscriber.
+// A terminal event (done/failed/cancelled/timed_out) ends the stream: a
+// cursor ends once it has delivered it, and a subscribe() after it replays
+// up to and including it (a late client still gets the result payload).
+// Bodies are rendered at first read and memoized; a terminal `done` body
+// (the full result payload, via publish_lazy) is thus never built for a
+// job nobody reads.
 //
-// Terminal events (done/failed/cancelled/timed_out) end a stream: the
-// subscription closes once it has delivered one, and a subscribe() after
-// the terminal was published replays up to and including it (the
-// subscribe-after-terminal contract: a late or reconnecting client still
-// gets the result payload). Terminal `done` bodies can be expensive (the
-// full result payload), so publish_lazy defers rendering: the body
-// closure runs immediately when live subscribers exist, and otherwise on
-// the first replay that needs it -- a job nobody watches never pays the
-// render.
-//
-// close_all() (the HTTP gateway's drain hook) pushes a final
+// close_all() (the HTTP gateway's drain hook) puts the whole bus in drain:
+// a reader of a non-terminal stream, once it has read everything stored,
+// gets a closing
 //   {"job": J, "seq": S, "event": "draining", "code": "draining"}
-// to every live subscriber and closes them, so event feeds end promptly
-// on SIGTERM instead of pinning connection threads past the drain window.
+// (S is the next unassigned seq, not consumed) and its cursor ends -- also
+// for readers that attach after the drain began -- so event feeds end
+// promptly on SIGTERM instead of pinning connection threads.
 //
-// Lock order: bus mutex -> subscription mutex; the bus never calls out
-// under its lock except the body closures (which are pure renders).
+// forget() drops a job's stream (retention trim); a cursor shares
+// ownership of its stream, so a reader already holding one reads it to
+// the end.
+//
+// Locking: one bus mutex and one condition variable, nothing per reader;
+// under the mutex the bus calls out only to body closures (pure renders).
+// The bus must outlive every reader inside next().
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -54,48 +50,38 @@ namespace nwdec::api {
 /// One delivered event. `line` is the full NDJSON wire form, newline
 /// terminated: {"job": J, "seq": S, "event": "<type>", ...body}.
 struct job_event {
-  std::uint64_t job = 0;
   std::uint64_t seq = 0;
   std::string type;
   bool terminal = false;  ///< done | failed | cancelled | timed_out
-  bool closing = false;   ///< event_overflow | draining: the feed ends here
   std::string line;
 };
 
-class event_bus;
-
-/// One subscriber's bounded queue. next() is the consumer side; the bus
-/// pushes. A subscription outlives its bus registration safely (the bus
-/// holds weak_ptrs), so transports may drop it whenever the peer goes.
-class event_subscription {
- public:
-  /// Blocks up to timeout_ms for the next event; nullopt on timeout.
-  /// After a terminal or closing event the queue drains to empty and
-  /// closed() turns true.
-  std::optional<job_event> next(int timeout_ms);
-  bool closed() const;
-
- private:
-  friend class event_bus;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<job_event> queue_;
-  bool closed_ = false;
-  std::size_t capacity_ = 0;
-  std::uint64_t job_ = 0;
-};
-
 class event_bus {
+  struct stream;
+
  public:
-  struct options {
-    /// Events a subscriber may have pending before it is evicted with
-    /// event_overflow. Generous relative to a job's lifecycle (a sweep
-    /// emits 3 events; refine adds one progress event per probe).
-    std::size_t subscriber_capacity = 256;
+  /// One reader's position in one job's stream: the last seq it received.
+  /// Owned and advanced by a single reader; it shares ownership of the
+  /// stream, so forget() never cuts the reader's tail.
+  class cursor {
+   public:
+    /// True once nothing more will be delivered: after the terminal
+    /// event, after the drain's closing event, or at the end of a
+    /// forgotten stream.
+    bool ended() const { return ended_; }
+
+   private:
+    friend class event_bus;
+    cursor(std::uint64_t job, std::shared_ptr<stream> entry,
+           std::uint64_t seq)
+        : job_(job), stream_(std::move(entry)), seq_(seq) {}
+    std::uint64_t job_;
+    std::shared_ptr<stream> stream_;
+    std::uint64_t seq_;
+    bool ended_ = false;
   };
 
   event_bus() = default;
-  explicit event_bus(options opts) : options_(opts) {}
   event_bus(const event_bus&) = delete;
   event_bus& operator=(const event_bus&) = delete;
 
@@ -103,63 +89,49 @@ class event_bus {
   using body_fn = std::function<std::string()>;
 
   /// Appends one event to the job's stream (creating the stream on first
-  /// publish) and fans it out to live subscribers. Returns the assigned
-  /// sequence number.
+  /// publish) and wakes waiting readers. Returns the assigned sequence
+  /// number.
   std::uint64_t publish(std::uint64_t job, const char* type, bool terminal,
                         std::string body);
-  /// publish() with a deferred body: rendered now iff someone is
-  /// subscribed, else cached unrendered and materialized on first replay.
+  /// publish() with a deferred body, rendered by the first reader.
   std::uint64_t publish_lazy(std::uint64_t job, const char* type,
                              bool terminal, body_fn body);
 
-  /// Attaches a subscriber: replays history with seq > from_seq, then
-  /// streams live events. Returns nullptr for a job with no stream
-  /// (never published, or forgotten). A subscription attached after the
-  /// stream's terminal event closes right after the replay.
-  std::shared_ptr<event_subscription> subscribe(std::uint64_t job,
-                                                std::uint64_t from_seq);
+  /// Opens a cursor after `from_seq`: the reader first gets the stored
+  /// events with seq > from_seq, then live ones. nullopt for a job with no
+  /// stream (never published, or forgotten).
+  std::optional<cursor> subscribe(std::uint64_t job, std::uint64_t from_seq);
 
-  /// Drops a job's stream (retention trim); remaining subscribers are
-  /// closed (their terminal event, if any, was already delivered).
+  /// The reader's next event, waiting up to timeout_ms for one; nullopt on
+  /// timeout or once reader.ended().
+  std::optional<job_event> next(cursor& reader, int timeout_ms);
+
+  /// Drops a job's stream (retention trim); cursors already holding it
+  /// read its remaining history and then end.
   void forget(std::uint64_t job);
 
-  /// Drain hook: pushes a closing "draining" event to every live
-  /// subscriber and closes them. Streams stay readable for replay;
-  /// idempotent (a second call finds no live subscribers).
+  /// Drain hook: from now on every non-terminal stream ends, for each
+  /// reader, with a closing "draining" event after the stored ones.
+  /// Streams stay readable for replay; idempotent.
   void close_all();
-
-  /// Test introspection: events retained for a job's replay (0 = no
-  /// stream).
-  std::size_t history_size(std::uint64_t job) const;
 
  private:
   struct stored_event {
-    std::uint64_t seq = 0;
     std::string type;
     bool terminal = false;
     std::string line;  ///< full wire line once rendered
-    body_fn lazy;      ///< set until the body is rendered
+    body_fn body;      ///< set until the line is rendered
   };
+  /// history[i] carries seq i + 1.
   struct stream {
-    std::uint64_t next_seq = 1;
-    bool terminal = false;
     std::vector<stored_event> history;
-    std::vector<std::weak_ptr<event_subscription>> subscribers;
+    bool closed = false;  ///< terminal published, or forgotten
   };
 
-  std::uint64_t publish_locked(std::uint64_t job, const char* type,
-                               bool terminal, std::string body,
-                               body_fn lazy);
-  /// Renders (memoizing) a stored event's wire line. Caller holds mutex_.
-  const std::string& line_of(std::uint64_t job, stored_event& event);
-  /// Delivers to one subscriber, evicting it on overflow. Caller holds
-  /// mutex_; takes the subscription mutex (the documented lock order).
-  void push_to(const std::shared_ptr<event_subscription>& subscriber,
-               const job_event& event);
-
-  options options_;
-  mutable std::mutex mutex_;
-  std::map<std::uint64_t, stream> streams_;
+  std::mutex mutex_;
+  std::condition_variable published_;  ///< any stream grew, closed or drained
+  bool draining_ = false;
+  std::map<std::uint64_t, std::shared_ptr<stream>> streams_;
 };
 
 }  // namespace nwdec::api

@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <system_error>
 #include <vector>
 
 #include "api/dispatch.h"
@@ -19,6 +21,17 @@
 namespace nwdec::api {
 
 namespace {
+
+// A decimal u64: digits only, no sign, no overflow (2^64 + 1 must not
+// wrap onto job 1); nullopt otherwise.
+std::optional<std::uint64_t> parse_u64(const std::string& digits) {
+  std::uint64_t value = 0;
+  const char* last = digits.data() + digits.size();
+  const std::from_chars_result parsed =
+      std::from_chars(digits.data(), last, value);
+  if (parsed.ec != std::errc() || parsed.ptr != last) return std::nullopt;
+  return value;
+}
 
 // An error answered at the HTTP layer still carries the NDJSON error
 // shape in its body, so a client can treat every failure uniformly.
@@ -52,8 +65,8 @@ http_transport::http_transport(std::uint16_t port, int backlog,
                                tcp_limits limits)
     : socket_server(port, backlog, limits) {}
 
-void http_transport::drain_started() {
-  if (scheduler_ != nullptr) scheduler_->close_event_streams();
+void http_transport::drain_started(dispatcher& handler) {
+  handler.scheduler().events().close_all();
 }
 
 std::string http_transport::shed_response() const {
@@ -167,22 +180,14 @@ bool http_transport::handle_request(int client,
                                   "stream"));
       return false;
     }
-    const std::string digits = path.substr(9, path.size() - 16);
-    std::uint64_t job = 0;
-    bool valid = !digits.empty();
-    for (const char c : digits) {
-      if (c < '0' || c > '9') {
-        valid = false;
-        break;
-      }
-      job = job * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (!valid) {
+    const std::optional<std::uint64_t> job =
+        parse_u64(path.substr(9, path.size() - 16));
+    if (!job.has_value()) {
       net::send_all(client,
                     http_error(404, "malformed job id in '" + path + "'"));
       return false;
     }
-    serve_events(client, request, job);
+    serve_events(client, request, handler, *job);
     return false;  // the stream always ends the connection
   }
   net::send_all(
@@ -254,28 +259,26 @@ bool http_transport::serve_metrics(int client, const http::request&,
 }
 
 void http_transport::serve_events(int client, const http::request& request,
-                                  std::uint64_t job) {
-  std::uint64_t from = 0;
+                                  dispatcher& handler, std::uint64_t job) {
   const std::string from_param = request.query_param("from");
-  for (const char c : from_param) {
-    if (c < '0' || c > '9') {
-      from = 0;
-      break;
-    }
-    from = from * 10 + static_cast<std::uint64_t>(c - '0');
+  const std::optional<std::uint64_t> from =
+      from_param.empty() ? 0 : parse_u64(from_param);
+  if (!from.has_value()) {
+    net::send_all(client,
+                  http_error(400, "malformed 'from' value '" + from_param +
+                                      "' (expected a decimal sequence "
+                                      "number)"));
+    return;
   }
-  const std::shared_ptr<event_subscription> events =
-      scheduler_ == nullptr ? nullptr : scheduler_->subscribe(job, from);
-  if (events == nullptr) {
+  event_bus& bus = handler.scheduler().events();
+  std::optional<event_bus::cursor> reader = bus.subscribe(job, *from);
+  if (!reader.has_value()) {
     net::send_all(client,
                   http_error(404, "unknown job id " + std::to_string(job) +
                                       " (never submitted, or already "
                                       "forgotten)"));
     return;
   }
-  // A stream opened after drain_started() already ran missed that close;
-  // closing again (idempotent) ends it with the same draining event.
-  if (draining()) scheduler_->close_event_streams();
   if (!net::send_all(client,
                      "HTTP/1.1 200 OK\r\n"
                      "Content-Type: text/event-stream\r\n"
@@ -285,11 +288,11 @@ void http_transport::serve_events(int client, const http::request& request,
                      "\r\n")) {
     return;
   }
-  // The stream ends once the subscription closes: terminal event,
-  // slow-consumer eviction, or the drain's draining event.
+  // The stream ends once the cursor does: terminal event or the drain's
+  // draining event.
   constexpr int kPollMs = 250;
-  while (!events->closed()) {
-    const std::optional<job_event> event = events->next(kPollMs);
+  while (!reader->ended()) {
+    const std::optional<job_event> event = bus.next(*reader, kPollMs);
     if (event.has_value() && !net::send_all(client, sse_chunk(*event))) {
       return;
     }

@@ -18,11 +18,14 @@
 //     chunked): one frame per event, `id:` = the event's sequence
 //     number, `event:` = its type, `data:` = the exact NDJSON event
 //     line (newline stripped). The terminal frame's "result" payload is
-//     byte-identical to a status {"wait": true} response's. The stream
-//     ends (zero-length chunk, connection close) after the terminal
-//     event -- or with the event bus's draining event when this
-//     gateway's drain begins. 404 for an unknown/forgotten job; "from"
-//     resumes after a seq.
+//     byte-identical to a status {"wait": true} response's. The events
+//     come from the served dispatcher's scheduler (job_scheduler::
+//     events()). The stream ends (zero-length chunk, connection close)
+//     after the terminal event -- or with the event bus's draining event
+//     once this gateway's drain began, also for a stream opened after
+//     that. 404 for an unknown/forgotten job or an id that is not a
+//     decimal u64; "from" resumes after a seq (400 unless a decimal
+//     u64).
 //   * GET /metrics -- the Prometheus text exposition.
 //
 // Transport-level answers (before any route): malformed request -> 400,
@@ -43,22 +46,16 @@
 
 namespace nwdec::api {
 
-class job_scheduler;
-
 class http_transport final : public socket_server {
  public:
   http_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Wires the events route to a scheduler. Unset, GET
-  /// /v1/jobs/{id}/events answers 404. Set before serve().
-  void set_event_source(job_scheduler* scheduler) { scheduler_ = scheduler; }
-
  protected:
   void serve_connection(int client, dispatcher& handler) override;
   std::string shed_response() const override;
-  /// Ends every open event stream of the scheduler with the bus's
-  /// draining event.
-  void drain_started() override;
+  /// Puts the scheduler's event bus in drain: every open and every later
+  /// stream ends with the bus's draining event.
+  void drain_started(dispatcher& handler) override;
 
  private:
   /// Serves one parsed request; returns false when the connection must
@@ -71,9 +68,7 @@ class http_transport final : public socket_server {
                      bool keep_alive);
   /// The SSE pump; always ends the connection.
   void serve_events(int client, const http::request& request,
-                    std::uint64_t job);
-
-  job_scheduler* scheduler_ = nullptr;
+                    dispatcher& handler, std::uint64_t job);
 };
 
 }  // namespace nwdec::api

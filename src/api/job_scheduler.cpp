@@ -144,9 +144,8 @@ job_scheduler::~job_scheduler() {
     const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  // Release subscription pumps before joining: a connection thread
-  // blocked in event_subscription::next() would otherwise only notice
-  // the shutdown at its next poll timeout.
+  // End every open event stream before joining: a reader blocked in
+  // event_bus::next() returns at once instead of at its poll timeout.
   events_.close_all();
   work_cv_.notify_all();
   done_cv_.notify_all();
@@ -350,33 +349,16 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     (record->kind == "sweep" ? scheduler_metrics::get().submitted_sweep
                              : scheduler_metrics::get().submitted_refine)
         .inc();
-    publish_event_locked(*record, "queued", false,
-                         json_fragment([&](json_writer& json) {
-                           json.field("kind", record->kind);
-                           json.field("priority", record->priority);
-                         }));
+    events_.publish(id, "queued", false,
+                    json_fragment([&](json_writer& json) {
+                      json.field("kind", record->kind);
+                      json.field("priority", record->priority);
+                    }));
     sync_gauges_locked();
   }
   work_cv_.notify_one();
   outcome.job = id;
   return outcome;
-}
-
-std::shared_ptr<event_subscription> job_scheduler::subscribe(
-    std::uint64_t job, std::uint64_t from_seq) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (jobs_.find(job) == jobs_.end()) return nullptr;
-  return events_.subscribe(job, from_seq);
-}
-
-void job_scheduler::close_event_streams() { events_.close_all(); }
-
-// Caller holds mutex_ (the documented scheduler -> bus lock order; the
-// bus never calls back into the scheduler).
-void job_scheduler::publish_event_locked(const job_record& job,
-                                         const char* type, bool terminal,
-                                         std::string body) {
-  events_.publish(job.id, type, terminal, std::move(body));
 }
 
 job_result job_scheduler::snapshot(const job_record& job) const {
@@ -498,9 +480,9 @@ void job_scheduler::trim_locked() {
     const auto oldest = jobs_.find(finished_.front());
     if (oldest != jobs_.end() && oldest->second->waiters > 0) break;
     if (oldest != jobs_.end()) {
-      // Forgetting a job drops its event history too (closing any
-      // subscriber still attached): subscribe() answers for exactly the
-      // jobs status answers for.
+      // Forgetting a job drops its event stream too (a reader already
+      // attached still reads it to the end): the bus answers subscribe()
+      // for exactly the jobs status answers for.
       events_.forget(oldest->first);
       jobs_.erase(oldest);
     }
@@ -526,7 +508,7 @@ void job_scheduler::start_running_locked(job_record& job) {
       seconds_between(job.submit_time, std::chrono::steady_clock::now());
   scheduler_metrics::get().queue_wait_seconds.observe(
       job.trace.queue_wait_seconds);
-  publish_event_locked(job, "running", false, "");
+  events_.publish(job.id, "running", false, "");
   sync_gauges_locked();
 }
 
@@ -570,8 +552,9 @@ void job_scheduler::finish(job_record& job, job_state state) {
   }
   // The terminal event goes out BEFORE the retention trim below so the
   // stream can never be forgotten with its ending unpublished. A done
-  // job's body is rendered lazily: with no subscriber ever attaching,
-  // the result payload is never serialized a second time.
+  // job's body is rendered lazily, by its first reader and never under
+  // mutex_: a job nobody reads never serializes its result payload a
+  // second time.
   if (state == job_state::done) {
     events_.publish_lazy(
         job.id, "done", true,
@@ -583,12 +566,12 @@ void job_scheduler::finish(job_record& job, job_state state) {
         });
   } else if (state == job_state::failed || state == job_state::timed_out) {
     const std::string& error = job.error;
-    publish_event_locked(job, job_state_name(state), true,
-                         json_fragment([&error](json_writer& json) {
-                           json.field("error", error);
-                         }));
+    events_.publish(job.id, job_state_name(state), true,
+                    json_fragment([&error](json_writer& json) {
+                      json.field("error", error);
+                    }));
   } else {
-    publish_event_locked(job, job_state_name(state), true, "");
+    events_.publish(job.id, job_state_name(state), true, "");
   }
   finished_.push_back(job.id);
   trim_locked();
@@ -784,11 +767,11 @@ void job_scheduler::run_refine(std::unique_lock<std::mutex>& lock,
         [this, job](std::size_t evaluations) {
           const std::lock_guard<std::mutex> progress_lock(mutex_);
           job->progress_done = evaluations;
-          publish_event_locked(*job, "progress", false,
-                               json_fragment([&](json_writer& json) {
-                                 json.field("done", evaluations);
-                                 json.field("total", job->progress_total);
-                               }));
+          events_.publish(job->id, "progress", false,
+                          json_fragment([&](json_writer& json) {
+                            json.field("done", evaluations);
+                            json.field("total", job->progress_total);
+                          }));
         },
         check);
   } catch (const cancelled_error&) {

@@ -129,17 +129,12 @@ class job_scheduler {
   /// submissions and refines always enqueue (they need a job id).
   submit_outcome submit_or_serve(request job, bool allow_inline);
 
-  /// Attaches an event subscription to a job's lifecycle stream
-  /// (event_bus semantics: replay from `from_seq`, then live events;
-  /// subscribe-after-terminal replays through the terminal event).
-  /// nullptr for an unknown -- or already-forgotten -- job.
-  std::shared_ptr<event_subscription> subscribe(std::uint64_t job,
-                                                std::uint64_t from_seq);
-
-  /// Drain hook: pushes a closing "draining" event to every live event
-  /// subscriber and closes their feeds (event_bus::close_all), so the
-  /// HTTP gateway's SSE connection threads exit promptly on SIGTERM.
-  void close_event_streams();
+  /// The jobs' lifecycle event streams (queued, running, refine progress,
+  /// the terminal state): a job has a stream exactly while status answers
+  /// for it (queued is published at submit, and the retention trim
+  /// forgets both together). Readers (the HTTP gateway's SSE route)
+  /// subscribe here directly; the gateway's drain calls close_all().
+  event_bus& events() { return events_; }
 
   /// Snapshot of a job (result payload included once done); nullopt for
   /// an unknown -- or already-forgotten -- id.
@@ -172,11 +167,6 @@ class job_scheduler {
   void run_refine(std::unique_lock<std::mutex>& lock,
                   const std::shared_ptr<job_record>& job);
   void finish(job_record& job, job_state state);
-  /// Publishes a lifecycle event for a job (caller holds mutex_; the bus
-  /// takes its own lock underneath -- the documented scheduler->bus
-  /// order).
-  void publish_event_locked(const job_record& job, const char* type,
-                            bool terminal, std::string body);
   void trim_locked();
   void sync_gauges_locked();
   /// Marks a job running and records its queue-wait span/metrics.
@@ -206,8 +196,9 @@ class job_scheduler {
   };
   std::map<std::string, dedup_entry> dedup_;
   std::deque<std::string> dedup_order_;  ///< eviction ring, oldest first
-  /// Per-job lifecycle event streams. Lock order: mutex_ -> bus mutex;
-  /// the bus never calls back into the scheduler.
+  /// Per-job lifecycle event streams, published to under mutex_. Lock
+  /// order: mutex_ -> bus mutex; the bus never calls back into the
+  /// scheduler.
   event_bus events_;
 
   std::vector<std::thread> workers_;

@@ -130,7 +130,7 @@ int socket_server::serve(dispatcher& handler) {
   // work (the gateway's SSE streams) are released into the same drain
   // window as ordinary requests.
   draining_.store(true, std::memory_order_relaxed);
-  drain_started();
+  drain_started(handler);
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (limits_.drain_ms > 0 && active_ > 0) {

@@ -13,7 +13,8 @@
 // connection read/answer loop -- and shed_response() -- the bytes an
 // over-cap connection is answered with before closing (an NDJSON error
 // line or an HTTP 503, each in its own protocol). It may also override
-// drain_started() to release long-lived work when a drain begins.
+// drain_started() to release long-lived work of the dispatcher it serves
+// when a drain begins.
 //
 // The per-connection resource bounds (tcp_limits) are shared verbatim
 // across protocols: the same --idle-timeout-ms / --read-deadline-ms /
@@ -99,9 +100,10 @@ class socket_server {
 
   /// Runs once when serve() begins shutting down, after draining() turns
   /// true and BEFORE connections are half-closed, without transport
-  /// locks held. The HTTP gateway ends its open event streams here so
-  /// their connection threads drain like any other in-flight request.
-  virtual void drain_started() {}
+  /// locks held, with the dispatcher serve() was given. The HTTP gateway
+  /// ends that dispatcher's event streams here so their connection
+  /// threads drain like any other in-flight request.
+  virtual void drain_started(dispatcher&) {}
 
   /// The per-connection protocol loop. Runs on a detached thread; must
   /// NOT close `client` or touch the registration bookkeeping -- the

@@ -383,10 +383,6 @@ sweep_request sweep_engine::resolve(sweep_request request) const {
 
 namespace {
 
-const char* mode_name(yield::mc_mode mode) {
-  return mode == yield::mc_mode::window ? "window" : "operational";
-}
-
 // Shortest representation that parses back to the same double, so the CSV
 // round-trips exactly through strtod.
 std::string format_full(double value) {
@@ -402,7 +398,7 @@ std::string to_json(const sweep_engine_report& report) {
   json_writer json;
   json.begin_object()
       .field("bench", "sweep_engine")
-      .field("mode", mode_name(report.mode))
+      .field("mode", yield::mc_mode_name(report.mode))
       .field("threads", report.threads)
       .field("seed", report.seed)
       .field("raw_bits", report.raw_bits)

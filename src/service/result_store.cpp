@@ -67,17 +67,6 @@ std::uint64_t technology_fingerprint(const device::technology& tech) {
   return h;
 }
 
-const char* mc_mode_name(yield::mc_mode mode) {
-  return mode == yield::mc_mode::window ? "window" : "operational";
-}
-
-yield::mc_mode parse_mc_mode(const std::string& name) {
-  if (name == "window") return yield::mc_mode::window;
-  if (name == "operational") return yield::mc_mode::operational;
-  throw invalid_argument_error("unknown mc mode '" + name +
-                               "' (expected window | operational)");
-}
-
 void write_stored_result(json_writer& json, const stored_result& result) {
   const core::design_evaluation& e = result.evaluation;
   const fab::defect_params defects =

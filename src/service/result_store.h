@@ -209,8 +209,8 @@ struct parsed_store_entry {
 /// parsed request (an incompatible fingerprint scheme or corruption).
 parsed_store_entry parse_store_entry(const json_value& node);
 
-/// mc_mode <-> protocol string ("window" / "operational").
-const char* mc_mode_name(yield::mc_mode mode);
-yield::mc_mode parse_mc_mode(const std::string& name);
+/// mc_mode <-> protocol string, spelled once in yield/trial_context.h.
+using yield::mc_mode_name;
+using yield::parse_mc_mode;
 
 }  // namespace nwdec::service

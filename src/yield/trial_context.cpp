@@ -9,6 +9,17 @@
 
 namespace nwdec::yield {
 
+const char* mc_mode_name(mc_mode mode) {
+  return mode == mc_mode::window ? "window" : "operational";
+}
+
+mc_mode parse_mc_mode(const std::string& name) {
+  if (name == "window") return mc_mode::window;
+  if (name == "operational") return mc_mode::operational;
+  throw invalid_argument_error("unknown mc mode '" + name +
+                               "' (expected window | operational)");
+}
+
 trial_context::trial_context(const decoder::decoder_design& design,
                              const crossbar::contact_group_plan& plan)
     : design_(design),

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "codes/word.h"
@@ -42,6 +43,13 @@ enum class mc_mode {
   window,
   operational,
 };
+
+/// The one spelling of each criterion on every protocol and command
+/// line: "window" | "operational".
+const char* mc_mode_name(mc_mode mode);
+/// Inverse of mc_mode_name; throws invalid_argument_error naming both
+/// valid spellings for anything else.
+mc_mode parse_mc_mode(const std::string& name);
 
 /// Reusable per-thread buffers for run_trial and run_trial_block;
 /// allocation-free after the first trial (or block) warms them to full

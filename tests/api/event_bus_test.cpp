@@ -1,15 +1,14 @@
 // api::event_bus contract tests: monotonic gap-free sequencing under
-// concurrent publishers, slow-consumer eviction with replay recovery,
-// the subscribe-after-terminal replay, lazy terminal-body rendering, and
-// the drain hook. The scheduler integration (which events a job emits)
-// is tested over SSE in http_transport_test.cpp; this file tests the bus
-// alone.
+// concurrent publishers, a slow reader that misses nothing, the
+// subscribe-after-terminal replay, lazy terminal-body rendering, the drain
+// hook, and forget() under an attached reader. The scheduler integration
+// (which events a job emits) is tested over SSE in http_transport_test.cpp;
+// this file tests the bus alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <set>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,16 +18,15 @@
 namespace nwdec::api {
 namespace {
 
-// Drains everything currently deliverable (stops at a timeout or once
-// the subscription closes and empties).
-std::vector<job_event> drain(event_subscription& events,
+// Reads everything currently deliverable (stops at a timeout or once the
+// cursor ends).
+std::vector<job_event> drain(event_bus& bus, event_bus::cursor& reader,
                              int timeout_ms = 200) {
   std::vector<job_event> seen;
-  for (;;) {
-    std::optional<job_event> event = events.next(timeout_ms);
+  while (!reader.ended()) {
+    std::optional<job_event> event = bus.next(reader, timeout_ms);
     if (!event.has_value()) break;
     seen.push_back(std::move(*event));
-    if (events.closed()) break;
   }
   return seen;
 }
@@ -36,8 +34,8 @@ std::vector<job_event> drain(event_subscription& events,
 TEST(EventBusTest, SequencesAreMonotonicAndGapFreeUnderConcurrentPublishers) {
   event_bus bus;
   bus.publish(7, "queued", false, "");  // create the stream first
-  auto events = bus.subscribe(7, 0);
-  ASSERT_NE(events, nullptr);
+  std::optional<event_bus::cursor> events = bus.subscribe(7, 0);
+  ASSERT_TRUE(events.has_value());
 
   constexpr int kPublishers = 4;
   constexpr int kEach = 25;
@@ -50,13 +48,17 @@ TEST(EventBusTest, SequencesAreMonotonicAndGapFreeUnderConcurrentPublishers) {
       }
     });
   }
-  for (std::thread& publisher : publishers) publisher.join();
-  bus.publish(7, "done", true, "");
-
+  // Read while the publishers run, so the reader waits on live events.
   std::uint64_t previous = 0;
   std::size_t count = 0;
+  bool published_done = false;
   for (;;) {
-    const std::optional<job_event> event = events->next(1000);
+    if (!published_done && count == 1u + kPublishers * kEach) {
+      for (std::thread& publisher : publishers) publisher.join();
+      bus.publish(7, "done", true, "");
+      published_done = true;
+    }
+    const std::optional<job_event> event = bus.next(*events, 1000);
     ASSERT_TRUE(event.has_value()) << "stream stalled after " << count;
     // The whole contract in one assertion: every delivery is exactly the
     // previous sequence number plus one.
@@ -66,51 +68,32 @@ TEST(EventBusTest, SequencesAreMonotonicAndGapFreeUnderConcurrentPublishers) {
     if (event->terminal) break;
   }
   EXPECT_EQ(count, 1u + kPublishers * kEach + 1u);
-  EXPECT_TRUE(events->closed());
+  EXPECT_TRUE(events->ended());
 }
 
-TEST(EventBusTest, SlowConsumerIsEvictedAndTheReplayFillsTheHole) {
-  event_bus::options small;
-  small.subscriber_capacity = 4;
-  event_bus bus(small);
+TEST(EventBusTest, SlowReaderMissesNothing) {
+  event_bus bus;
   bus.publish(3, "queued", false, "");
-  auto slow = bus.subscribe(3, 0);
-  ASSERT_NE(slow, nullptr);
+  std::optional<event_bus::cursor> slow = bus.subscribe(3, 0);
+  ASSERT_TRUE(slow.has_value());
 
-  // Publish far past the subscriber's capacity without consuming.
-  for (int i = 0; i < 10; ++i) bus.publish(3, "progress", false, "");
+  // Publish far past any queue a reader could once hold, without reading.
+  for (int i = 0; i < 1000; ++i) {
+    bus.publish(3, "progress", false, ",\"done\":" + std::to_string(i));
+  }
   bus.publish(3, "done", true, "");
 
-  const std::vector<job_event> delivered = drain(*slow);
-  ASSERT_FALSE(delivered.empty());
-  const job_event& eviction = delivered.back();
-  EXPECT_EQ(eviction.type, "event_overflow");
-  EXPECT_TRUE(eviction.closing);
-  EXPECT_NE(eviction.line.find("\"code\":\"event_overflow\""),
-            std::string::npos);
-  EXPECT_NE(eviction.line.find("\"dropped\":"), std::string::npos);
-  EXPECT_TRUE(slow->closed());
-  // Everything before the eviction line is still in order.
-  for (std::size_t i = 1; i + 1 < delivered.size(); ++i) {
-    EXPECT_EQ(delivered[i].seq, delivered[i - 1].seq + 1);
+  const std::vector<job_event> delivered = drain(bus, *slow);
+  ASSERT_EQ(delivered.size(), 1002u);
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].seq, i + 1);
   }
-
-  // The recovery protocol: resubscribe from the last seq actually
-  // processed; the replay delivers every dropped event, through the
-  // terminal, with no gap.
-  const std::uint64_t resume_from =
-      delivered.size() > 1 ? delivered[delivered.size() - 2].seq : 0;
-  auto resumed = bus.subscribe(3, resume_from);
-  ASSERT_NE(resumed, nullptr);
-  const std::vector<job_event> replay = drain(*resumed);
-  ASSERT_FALSE(replay.empty());
-  EXPECT_EQ(replay.front().seq, resume_from + 1);
-  for (std::size_t i = 1; i < replay.size(); ++i) {
-    EXPECT_EQ(replay[i].seq, replay[i - 1].seq + 1);
-  }
-  EXPECT_EQ(replay.back().type, "done");
-  EXPECT_TRUE(replay.back().terminal);
-  EXPECT_TRUE(resumed->closed());
+  EXPECT_EQ(delivered.front().type, "queued");
+  EXPECT_EQ(delivered[500].line,
+            "{\"job\":3,\"seq\":501,\"event\":\"progress\",\"done\":499}\n");
+  EXPECT_EQ(delivered.back().type, "done");
+  EXPECT_TRUE(delivered.back().terminal);
+  EXPECT_TRUE(slow->ended());
 }
 
 TEST(EventBusTest, SubscribeAfterTerminalReplaysTheWholeStream) {
@@ -119,30 +102,30 @@ TEST(EventBusTest, SubscribeAfterTerminalReplaysTheWholeStream) {
   bus.publish(5, "running", false, "");
   bus.publish(5, "done", true, ",\"result\":{\"n\":1}");
 
-  auto late = bus.subscribe(5, 0);
-  ASSERT_NE(late, nullptr);
-  const std::vector<job_event> replay = drain(*late);
+  std::optional<event_bus::cursor> late = bus.subscribe(5, 0);
+  ASSERT_TRUE(late.has_value());
+  const std::vector<job_event> replay = drain(bus, *late);
   ASSERT_EQ(replay.size(), 3u);
   EXPECT_EQ(replay[0].type, "queued");
   EXPECT_EQ(replay[1].type, "running");
   EXPECT_EQ(replay[2].type, "done");
   EXPECT_NE(replay[2].line.find("\"result\":{\"n\":1}"), std::string::npos);
-  EXPECT_TRUE(late->closed());
+  EXPECT_TRUE(late->ended());
 
   // A mid-stream cursor replays only the tail.
-  auto tail = bus.subscribe(5, 2);
-  ASSERT_NE(tail, nullptr);
-  const std::vector<job_event> tail_replay = drain(*tail);
+  std::optional<event_bus::cursor> tail = bus.subscribe(5, 2);
+  ASSERT_TRUE(tail.has_value());
+  const std::vector<job_event> tail_replay = drain(bus, *tail);
   ASSERT_EQ(tail_replay.size(), 1u);
   EXPECT_EQ(tail_replay[0].seq, 3u);
   EXPECT_EQ(tail_replay[0].type, "done");
 
-  // A cursor past the terminal replays nothing and closes immediately:
-  // the reconnecting client already has everything.
-  auto caught_up = bus.subscribe(5, 3);
-  ASSERT_NE(caught_up, nullptr);
-  EXPECT_TRUE(drain(*caught_up).empty());
-  EXPECT_TRUE(caught_up->closed());
+  // A cursor past the terminal replays nothing and ends immediately: the
+  // reconnecting client already has everything.
+  std::optional<event_bus::cursor> caught_up = bus.subscribe(5, 3);
+  ASSERT_TRUE(caught_up.has_value());
+  EXPECT_TRUE(drain(bus, *caught_up).empty());
+  EXPECT_TRUE(caught_up->ended());
 }
 
 TEST(EventBusTest, LazyBodyRendersOnceAndOnlyWhenSomeoneReads) {
@@ -153,80 +136,134 @@ TEST(EventBusTest, LazyBodyRendersOnceAndOnlyWhenSomeoneReads) {
     ++renders;
     return std::string(",\"result\":{\"expensive\":true}");
   });
-  // Nobody was subscribed: the render has not happened.
+  // Nobody has read it: the render has not happened.
   EXPECT_EQ(renders.load(), 0);
 
-  auto first = bus.subscribe(9, 0);
-  ASSERT_NE(first, nullptr);
-  const std::vector<job_event> replay = drain(*first);
+  std::optional<event_bus::cursor> first = bus.subscribe(9, 0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(renders.load(), 0);  // subscribing alone renders nothing
+  const std::vector<job_event> replay = drain(bus, *first);
   ASSERT_EQ(replay.size(), 2u);
   EXPECT_NE(replay[1].line.find("\"expensive\":true"), std::string::npos);
   EXPECT_EQ(renders.load(), 1);
 
   // Memoized: a second replay reuses the rendered line.
-  auto second = bus.subscribe(9, 0);
-  ASSERT_NE(second, nullptr);
-  EXPECT_EQ(drain(*second).back().line, replay[1].line);
+  std::optional<event_bus::cursor> second = bus.subscribe(9, 0);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(drain(bus, *second).back().line, replay[1].line);
   EXPECT_EQ(renders.load(), 1);
 }
 
-TEST(EventBusTest, LazyBodyRendersEagerlyForLiveSubscribers) {
+TEST(EventBusTest, LazyBodyIsNotRenderedAtPublishEvenWithReadersAttached) {
   event_bus bus;
   bus.publish(11, "queued", false, "");
-  auto live = bus.subscribe(11, 0);
-  ASSERT_NE(live, nullptr);
+  std::optional<event_bus::cursor> a = bus.subscribe(11, 0);
+  std::optional<event_bus::cursor> b = bus.subscribe(11, 0);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
   std::atomic<int> renders{0};
   bus.publish_lazy(11, "done", true, [&renders] {
     ++renders;
     return std::string(",\"result\":{}");
   });
-  // A live subscriber forces the render at publish time.
+  // Attached readers do not force the render at publish time.
+  EXPECT_EQ(renders.load(), 0);
+
+  const std::vector<job_event> from_a = drain(bus, *a);
+  const std::vector<job_event> from_b = drain(bus, *b);
+  ASSERT_EQ(from_a.size(), 2u);
+  ASSERT_EQ(from_b.size(), 2u);
+  EXPECT_EQ(from_a[1].line, "{\"job\":11,\"seq\":2,\"event\":\"done\","
+                            "\"result\":{}}\n");
+  EXPECT_EQ(from_b[1].line, from_a[1].line);
+  // Two readers together render it once.
   EXPECT_EQ(renders.load(), 1);
-  const std::vector<job_event> delivered = drain(*live);
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_NE(delivered[1].line.find("\"result\":{}"), std::string::npos);
 }
 
 TEST(EventBusTest, CloseAllPushesOneDrainingEventAndIsIdempotent) {
   event_bus bus;
   bus.publish(2, "queued", false, "");
-  auto events = bus.subscribe(2, 0);
-  ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->next(1000).has_value());  // consume "queued"
+  std::optional<event_bus::cursor> events = bus.subscribe(2, 0);
+  ASSERT_TRUE(events.has_value());
+  ASSERT_TRUE(bus.next(*events, 1000).has_value());  // consume "queued"
 
   bus.close_all();
-  bus.close_all();  // second call finds no live subscribers; no effect
+  bus.close_all();  // the drain is one bus-wide state; no second effect
 
-  const std::vector<job_event> rest = drain(*events);
+  const std::vector<job_event> rest = drain(bus, *events);
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].type, "draining");
-  EXPECT_TRUE(rest[0].closing);
-  EXPECT_NE(rest[0].line.find("\"code\":\"draining\""), std::string::npos);
-  EXPECT_TRUE(events->closed());
+  EXPECT_FALSE(rest[0].terminal);
+  EXPECT_EQ(rest[0].line,
+            "{\"job\":2,\"seq\":2,\"event\":\"draining\","
+            "\"code\":\"draining\"}\n");
+  EXPECT_TRUE(events->ended());
 
-  // Streams stay readable after a drain: history replay still works.
-  auto replay = bus.subscribe(2, 0);
-  ASSERT_NE(replay, nullptr);
-  EXPECT_EQ(drain(*replay).size(), 1u);  // "queued"; draining is not history
+  // A reader attached after the drain began gets the replay, then the
+  // same draining event; draining is not history.
+  std::optional<event_bus::cursor> late = bus.subscribe(2, 0);
+  ASSERT_TRUE(late.has_value());
+  const std::vector<job_event> replay = drain(bus, *late);
+  ASSERT_EQ(replay.size(), 2u);
+  EXPECT_EQ(replay[0].type, "queued");
+  EXPECT_EQ(replay[1].line, rest[0].line);
+  EXPECT_TRUE(late->ended());
+
+  // The draining seq was not consumed: the next publish takes it.
+  EXPECT_EQ(bus.publish(2, "running", false, ""), 2u);
+
+  // A terminal stream still ends with its terminal event, not draining.
+  bus.publish(6, "queued", false, "");
+  bus.publish(6, "done", true, "");
+  std::optional<event_bus::cursor> finished = bus.subscribe(6, 0);
+  ASSERT_TRUE(finished.has_value());
+  const std::vector<job_event> whole = drain(bus, *finished);
+  ASSERT_EQ(whole.size(), 2u);
+  EXPECT_EQ(whole.back().type, "done");
+  EXPECT_TRUE(finished->ended());
 }
 
 TEST(EventBusTest, ForgetDropsTheStreamAndClosesSubscribers) {
   event_bus bus;
   bus.publish(4, "queued", false, "");
-  auto events = bus.subscribe(4, 0);
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(bus.history_size(4), 1u);
+  std::optional<event_bus::cursor> events = bus.subscribe(4, 0);
+  ASSERT_TRUE(events.has_value());
 
   bus.forget(4);
-  EXPECT_EQ(bus.history_size(4), 0u);
-  drain(*events);
-  EXPECT_TRUE(events->closed());
-  EXPECT_EQ(bus.subscribe(4, 0), nullptr);
+  EXPECT_FALSE(bus.subscribe(4, 0).has_value());
+  // The attached reader still reads what was stored, then ends.
+  const std::vector<job_event> rest = drain(bus, *events);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].type, "queued");
+  EXPECT_TRUE(events->ended());
+}
+
+TEST(EventBusTest, ForgetMidStreamStillDeliversTheTerminalEvent) {
+  event_bus bus;
+  bus.publish(8, "queued", false, "");
+  bus.publish(8, "running", false, "");
+  std::optional<event_bus::cursor> reader = bus.subscribe(8, 0);
+  ASSERT_TRUE(reader.has_value());
+  ASSERT_TRUE(bus.next(*reader, 1000).has_value());  // "queued"
+
+  // The retention trim's order: terminal first, then forget -- with the
+  // reader one event behind.
+  bus.publish(8, "done", true, ",\"result\":{}");
+  bus.forget(8);
+  EXPECT_FALSE(bus.subscribe(8, 0).has_value());
+
+  const std::vector<job_event> rest = drain(bus, *reader);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].seq, 2u);
+  EXPECT_EQ(rest[0].type, "running");
+  EXPECT_EQ(rest[1].seq, 3u);
+  EXPECT_EQ(rest[1].type, "done");
+  EXPECT_TRUE(reader->ended());
 }
 
 TEST(EventBusTest, SubscribeToAnUnknownJobReturnsNull) {
   event_bus bus;
-  EXPECT_EQ(bus.subscribe(12345, 0), nullptr);
+  EXPECT_FALSE(bus.subscribe(12345, 0).has_value());
 }
 
 }  // namespace

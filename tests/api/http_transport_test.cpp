@@ -5,7 +5,8 @@
 // 405, 411, 413) must fire, and GET /v1/jobs/{id}/events must stream SSE
 // frames whose terminal "result" payload is byte-identical to a status
 // {"wait": true} response's -- ending with the error of a failed job, or
-// with the event bus's draining frame when the gateway drains.
+// with the event bus's draining frame when the gateway drains -- and refuse
+// a job id or "from" that is not a decimal u64 instead of wrapping it.
 #include "api/http_transport.h"
 
 #include <gtest/gtest.h>
@@ -173,7 +174,6 @@ struct test_server {
 
   explicit test_server(tcp_limits limits = {})
       : handler(service, {2, "", 64}), transport(0, 16, limits) {
-    transport.set_event_source(&handler.scheduler());
     thread = std::thread([this] { transport.serve(handler); });
   }
   ~test_server() {
@@ -434,6 +434,37 @@ TEST(HttpTransportTest, FailedJobStreamsItsErrorAsTheTerminalEvent) {
   ASSERT_NE(error, nullptr) << frames.back().data;
   EXPECT_NE(error->as_string().find("failpoint"), std::string::npos)
       << frames.back().data;
+}
+
+TEST(HttpTransportTest, JobIdAndFromMustBeDecimalU64) {
+  test_server server;
+  const std::string submit = server.handler.handle_line(
+      R"({"id":1,"kind":"sweep","async":true,"codes":["BGC"],)"
+      R"("lengths":[8],"sigmas_vt":[0.05],"trials":60})");
+  ASSERT_EQ(json_parse(submit).at("job").as_number(), 1.0) << submit;
+  server.handler.handle_line(R"({"id":2,"kind":"status","job":1,"wait":true})");
+  const auto get = [&server](const std::string& target) {
+    return roundtrip(server.port(),
+                     "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+  };
+
+  // 2^64 + 1 must not wrap onto job 1.
+  const std::string wrapped = get("/v1/jobs/18446744073709551617/events");
+  EXPECT_EQ(wrapped.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << wrapped;
+  EXPECT_NE(wrapped.find("malformed job id"), std::string::npos) << wrapped;
+
+  // A from past 2^64 - 1, or no number at all, is a bad request.
+  for (const std::string from : {"18446744073709551616", "abc", "-1", "2x"}) {
+    const std::string bad = get("/v1/jobs/1/events?from=" + from);
+    EXPECT_EQ(bad.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+        << from << ": " << bad;
+  }
+
+  // The largest u64 is a valid cursor: the finished job replays nothing.
+  const std::string caught_up =
+      get("/v1/jobs/1/events?from=18446744073709551615");
+  EXPECT_EQ(caught_up.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << caught_up;
+  EXPECT_EQ(dechunk(body_of(caught_up)), "") << caught_up;
 }
 
 TEST(HttpTransportTest, DrainEndsAnOpenStreamWithTheBusDrainingEvent) {

@@ -192,6 +192,23 @@ TEST(McEngineTest, InvalidOptionsRejected) {
                invalid_argument_error);
 }
 
+TEST(McModeTest, NamesRoundTripAndATypoNamesBothSpellings) {
+  for (const mc_mode mode : {mc_mode::window, mc_mode::operational}) {
+    EXPECT_EQ(parse_mc_mode(mc_mode_name(mode)), mode);
+  }
+  EXPECT_STREQ(mc_mode_name(mc_mode::window), "window");
+  EXPECT_STREQ(mc_mode_name(mc_mode::operational), "operational");
+  try {
+    parse_mc_mode("windwo");
+    ADD_FAILURE() << "a misspelled mode parsed";
+  } catch (const invalid_argument_error& failure) {
+    const std::string what = failure.what();
+    EXPECT_NE(what.find("'windwo'"), std::string::npos) << what;
+    EXPECT_NE(what.find("window"), std::string::npos) << what;
+    EXPECT_NE(what.find("operational"), std::string::npos) << what;
+  }
+}
+
 TEST(McEngineResumeTest, AnyBatchScheduleMatchesOneRunBitIdentically) {
   // The resumable entry point's core contract: trial i always consumes
   // stream from_counter(run_key, i) and the accumulator folds in trial

@@ -280,7 +280,6 @@ int main(int argc, char** argv) {
         }
         http_gateway = std::make_unique<api::http_transport>(
             static_cast<std::uint16_t>(http_port), 64, limits);
-        http_gateway->set_event_source(&dispatcher.scheduler());
         http_gateway->set_drain_deadline_action(on_drain_deadline);
         logging::event(logging::level::info, "daemon", "http_listening")
             .field("port", http_gateway->port());

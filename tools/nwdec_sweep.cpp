@@ -172,9 +172,7 @@ int main(int argc, char** argv) {
     core::sweep_engine_options options;
     options.threads = get_size(cli, "threads");
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    options.mode = cli.get_string("mode") == "window"
-                       ? yield::mc_mode::window
-                       : yield::mc_mode::operational;
+    options.mode = yield::parse_mc_mode(cli.get_string("mode"));
 
     const std::string cache_path = cli.get_string("cache");
     const double min_half_width = cli.get_double("min-half-width");
