@@ -286,8 +286,13 @@ reply dispatcher::handle(const stats_request& request) {
       .field("designs_built", stats.engine.designs_built)
       .field("design_reuses", stats.engine.design_reuses)
       .field("plans_built", stats.engine.plans_built)
-      .field("plan_reuses", stats.engine.plan_reuses)
-      .end_object();
+      .field("plan_reuses", stats.engine.plan_reuses);
+  if (request.detail) {
+    // Appended after the legacy keys, like the store block's detail.
+    json.field("codes_built", stats.engine.codes_built)
+        .field("code_reuses", stats.engine.code_reuses);
+  }
+  json.end_object();
   if (request.detail) {
     const scheduler_stats jobs = scheduler_.stats();
     json.key("jobs")

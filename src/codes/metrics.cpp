@@ -37,7 +37,7 @@ transition_stats analyze_transitions(const std::vector<code_word>& sequence,
   return stats;
 }
 
-bool is_antichain(const std::vector<code_word>& words) {
+bool is_antichain_pairwise(const std::vector<code_word>& words) {
   for (std::size_t i = 0; i < words.size(); ++i) {
     for (std::size_t j = 0; j < words.size(); ++j) {
       if (i == j) continue;
@@ -47,9 +47,33 @@ bool is_antichain(const std::vector<code_word>& words) {
   return true;
 }
 
-bool all_distinct(std::vector<code_word> words) {
-  std::sort(words.begin(), words.end());
-  return std::adjacent_find(words.begin(), words.end()) == words.end();
+bool share_one_digit_sum(const std::vector<code_word>& words) {
+  if (words.empty()) return true;
+  const code_word& first = words.front();
+  const std::size_t sum = first.digit_sum();
+  return std::all_of(words.begin(), words.end(), [&](const code_word& w) {
+    return w.radix() == first.radix() && w.length() == first.length() &&
+           w.digit_sum() == sum;
+  });
+}
+
+bool is_antichain(const std::vector<code_word>& words) {
+  if (share_one_digit_sum(words) && all_distinct(words)) return true;
+  return is_antichain_pairwise(words);
+}
+
+bool all_distinct(const std::vector<code_word>& words) {
+  // Sorts addresses, not words: a copy of the words would allocate one
+  // digit vector per word.
+  std::vector<const code_word*> order;
+  order.reserve(words.size());
+  for (const code_word& w : words) order.push_back(&w);
+  std::sort(order.begin(), order.end(),
+            [](const code_word* a, const code_word* b) { return *a < *b; });
+  return std::adjacent_find(order.begin(), order.end(),
+                            [](const code_word* a, const code_word* b) {
+                              return *a == *b;
+                            }) == order.end();
 }
 
 void validate_code(const code& c) {
@@ -60,9 +84,12 @@ void validate_code(const code& c) {
                   "word length differs from code length");
   }
   NWDEC_ENSURES(all_distinct(c.words), "code words are not distinct");
-  NWDEC_ENSURES(is_antichain(c.words),
-                "code is not an antichain: some address would select "
-                "multiple nanowires");
+  // The words are distinct now, so one digit sum proves the antichain;
+  // only a code without one pays for the pairwise loop.
+  NWDEC_ENSURES(
+      share_one_digit_sum(c.words) || is_antichain_pairwise(c.words),
+      "code is not an antichain: some address would select multiple "
+      "nanowires");
 }
 
 }  // namespace nwdec::codes

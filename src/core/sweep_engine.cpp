@@ -15,6 +15,7 @@
 #include "decoder/decoder_design.h"
 #include "util/csv.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -25,30 +26,40 @@ namespace nwdec::core {
 
 // Everything derivable from (code_type, radix, full_length, nanowires)
 // alone; one entry serves every (sigma, defects, trials) grid point. The
-// members reference each other (design copies the code, the context
-// references the design and the shared plan), so entries live behind
-// unique_ptr and are immutable after construction.
+// design shares the key's code, and the context references the design and
+// the shared plan, so entries live behind shared_ptr and are immutable
+// after construction (the lazily built context aside).
 struct sweep_engine::prepared_design {
-  codes::code code;
   decoder::decoder_design design;
   const crossbar::contact_group_plan* plan;
-  // Built lazily by prepare_locked on the first Monte-Carlo request for
-  // this design: analytic-only sweeps never pay for the O(N*M) engine
-  // tables.
-  std::unique_ptr<yield::trial_context> context;
   crossbar::layer_geometry geometry;
   crossbar::area_breakdown area;
 
-  prepared_design(codes::code built, std::size_t nanowires,
-                  const device::technology& tech,
+  prepared_design(std::shared_ptr<const codes::code> code,
+                  std::size_t nanowires, const device::technology& tech,
                   const crossbar::contact_group_plan& shared_plan,
                   const crossbar::crossbar_spec& point_spec)
-      : code(std::move(built)),
-        design(code, nanowires, tech),
+      : design(std::move(code), nanowires, tech),
         plan(&shared_plan),
-        geometry(crossbar::derive_layer_geometry(point_spec, tech, code.length,
+        geometry(crossbar::derive_layer_geometry(point_spec, tech,
+                                                 design.code().length,
                                                  shared_plan.group_count)),
         area(crossbar::estimate_area(geometry, tech)) {}
+
+  // Built for the first Monte-Carlo request for this design: analytic-only
+  // sweeps never pay for the O(N*M) engine tables. Concurrent requests
+  // wait for the one build; a build that throws leaves the next request
+  // to try again.
+  const yield::trial_context& context() const {
+    std::call_once(context_once_, [this] {
+      context_ = std::make_unique<yield::trial_context>(design, *plan);
+    });
+    return *context_;
+  }
+
+ private:
+  mutable std::once_flag context_once_;
+  mutable std::unique_ptr<yield::trial_context> context_;
 };
 
 std::vector<sweep_request> sweep_axes::expand() const {
@@ -145,48 +156,93 @@ sweep_engine::sweep_engine(crossbar::crossbar_spec spec,
 
 sweep_engine::~sweep_engine() = default;
 
-const sweep_engine::prepared_design& sweep_engine::prepare_locked(
+template <typename Key, typename T, typename Build>
+std::shared_ptr<const T> sweep_engine::once(latches<Key, T>& slots,
+                                            const Key& key,
+                                            std::size_t& built,
+                                            std::size_t& reused,
+                                            const Build& build) const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::shared_ptr<latch<T>>& slot = slots[key];
+  if (slot != nullptr) {
+    ++reused;
+    // Holds the latch itself: a failed build may erase it from the map.
+    const std::shared_ptr<latch<T>> pending = slot;
+    built_.wait(lock, [&] { return pending->ready; });
+    if (pending->failure) std::rethrow_exception(pending->failure);
+    return pending->value;
+  }
+  ++built;
+  const std::shared_ptr<latch<T>> mine = std::make_shared<latch<T>>();
+  slot = mine;
+  lock.unlock();
+
+  std::shared_ptr<const T> value;
+  std::exception_ptr failure;
+  bool remembered = false;  // a failure that is a pure function of the key
+  try {
+    value = build();
+  } catch (const invalid_argument_error&) {
+    failure = std::current_exception();
+    remembered = true;
+  } catch (const logic_invariant_error&) {
+    failure = std::current_exception();
+    remembered = true;
+  } catch (...) {
+    failure = std::current_exception();
+  }
+
+  lock.lock();
+  mine->ready = true;
+  mine->value = value;
+  mine->failure = failure;
+  if (failure && !remembered) slots.erase(key);
+  lock.unlock();
+  built_.notify_all();
+  if (failure) std::rethrow_exception(failure);
+  return value;
+}
+
+std::shared_ptr<const sweep_engine::prepared_design> sweep_engine::prepare(
     const sweep_request& request) const {
-  const design_key key{static_cast<int>(request.design.type),
-                       request.design.radix, request.design.length,
-                       request.nanowires};
-  prepared_design* entry = nullptr;
-  const auto found = designs_.find(key);
-  if (found != designs_.end()) {
-    ++stats_.design_reuses;
-    entry = found->second.get();
-  } else {
-    codes::code code = codes::make_code(request.design.type,
-                                        request.design.radix,
-                                        request.design.length);
-    const plan_key shared{request.nanowires, code.size()};
-    auto plan_it = plans_.find(shared);
-    if (plan_it == plans_.end()) {
-      plan_it = plans_
-                    .emplace(shared,
-                             std::make_unique<crossbar::contact_group_plan>(
-                                 crossbar::plan_contact_groups(
-                                     request.nanowires, code.size(), tech_)))
-                    .first;
-      ++stats_.plans_built;
-    } else {
-      ++stats_.plan_reuses;
+  const design_point& point = request.design;
+  const design_key key{static_cast<int>(point.type), point.radix,
+                       point.length, request.nanowires};
+  return once(designs_, key, stats_.designs_built, stats_.design_reuses, [&] {
+    NWDEC_FAILPOINT("engine.design.build");
+    const std::shared_ptr<const codes::code> code =
+        once(codes_, code_key{static_cast<int>(point.type), point.radix,
+                              point.length},
+             stats_.codes_built, stats_.code_reuses, [&] {
+               return std::make_shared<const codes::code>(
+                   codes::make_code(point.type, point.radix, point.length));
+             });
+
+    const crossbar::contact_group_plan* plan = nullptr;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      const plan_key shared{request.nanowires, code->size()};
+      auto plan_it = plans_.find(shared);
+      if (plan_it == plans_.end()) {
+        plan_it = plans_
+                      .emplace(shared,
+                               std::make_unique<crossbar::contact_group_plan>(
+                                   crossbar::plan_contact_groups(
+                                       request.nanowires, code->size(),
+                                       tech_)))
+                      .first;
+        ++stats_.plans_built;
+      } else {
+        ++stats_.plan_reuses;
+      }
+      plan = plan_it->second.get();
     }
 
     crossbar::crossbar_spec point_spec = spec_;
     point_spec.nanowires_per_half_cave = request.nanowires;
-    entry = designs_
-                .emplace(key, std::make_unique<prepared_design>(
-                                  std::move(code), request.nanowires, tech_,
-                                  *plan_it->second, point_spec))
-                .first->second.get();
-    ++stats_.designs_built;
-  }
-  if (request.mc_trials > 0 && entry->context == nullptr) {
-    entry->context = std::make_unique<yield::trial_context>(entry->design,
-                                                            *entry->plan);
-  }
-  return *entry;
+    return std::make_shared<const prepared_design>(code, request.nanowires,
+                                                   tech_, *plan, point_spec);
+  });
 }
 
 sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
@@ -203,28 +259,26 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
   const std::size_t inner_threads = std::max<std::size_t>(1, budget / workers);
 
   // Prepare phase: resolve platform defaults and bind every point to its
-  // cache entry. All cache mutation happens here, under the lock; bad grid
-  // points fail fast with the factory's diagnostics before any thread
-  // starts.
+  // cache entry, building what is missing -- trial contexts included --
+  // outside the engine lock (see the header comment). Bad grid points fail
+  // fast with the factory's diagnostics before any thread starts.
   std::vector<sweep_request> resolved(points);
-  std::vector<const prepared_design*> prepared(points.size(), nullptr);
+  std::vector<std::shared_ptr<const prepared_design>> prepared(points.size());
   std::vector<std::uint64_t> fingerprints(points.size(), 0);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::unordered_map<std::uint64_t, std::size_t> seen;
-    seen.reserve(points.size());
-    for (std::size_t k = 0; k < resolved.size(); ++k) {
-      sweep_request& request = resolved[k];
-      request = resolve(request);
-      if (request.defects.has_value()) request.defects->validate();
-      prepared[k] = &prepare_locked(request);
-      // Fingerprint uniqueness check (see the fingerprint() contract):
-      // distinct resolved points must never alias one run key / cache slot.
-      fingerprints[k] = fingerprint(request);
-      const auto [it, inserted] = seen.emplace(fingerprints[k], k);
-      NWDEC_ENSURES(inserted || same_request(resolved[it->second], request),
-                    "fingerprint collision between distinct grid points");
-    }
+  std::unordered_map<std::uint64_t, std::size_t> seen;
+  seen.reserve(points.size());
+  for (std::size_t k = 0; k < resolved.size(); ++k) {
+    sweep_request& request = resolved[k];
+    request = resolve(request);
+    if (request.defects.has_value()) request.defects->validate();
+    prepared[k] = prepare(request);
+    if (request.mc_trials > 0) prepared[k]->context();
+    // Fingerprint uniqueness check (see the fingerprint() contract):
+    // distinct resolved points must never alias one run key / cache slot.
+    fingerprints[k] = fingerprint(request);
+    const auto [it, inserted] = seen.emplace(fingerprints[k], k);
+    NWDEC_ENSURES(inserted || same_request(resolved[it->second], request),
+                  "fingerprint collision between distinct grid points");
   }
 
   // Evaluation phase: shard points across workers through an atomic cursor.
@@ -243,7 +297,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
 
     design_evaluation& e = entry.evaluation;
     e.point = request.design;
-    e.code_space = p.code.size();
+    e.code_space = p.design.code().size();
     e.fabrication_steps = p.design.fabrication_complexity();
     e.average_variability = p.design.average_variability_sigma_units();
     e.contact_groups = p.plan->group_count;
@@ -282,7 +336,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
       if (!options.mc_budget) {
         if (state.trials() < request.mc_trials) {
           mc.trials = request.mc_trials - state.trials();
-          result = yield::monte_carlo_yield_resume(*p.context, mc, run_key,
+          result = yield::monte_carlo_yield_resume(p.context(), mc, run_key,
                                                    state);
         }
       } else {
@@ -301,7 +355,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
           if (batch == 0) break;
           batch = std::min(batch, request.mc_trials - state.trials());
           mc.trials = batch;
-          result = yield::monte_carlo_yield_resume(*p.context, mc, run_key,
+          result = yield::monte_carlo_yield_resume(p.context(), mc, run_key,
                                                    state);
         }
       }
@@ -410,6 +464,8 @@ std::string to_json(const sweep_engine_report& report) {
       .field("design_reuses", report.cache.design_reuses)
       .field("plans_built", report.cache.plans_built)
       .field("plan_reuses", report.cache.plan_reuses)
+      .field("codes_built", report.cache.codes_built)
+      .field("code_reuses", report.cache.code_reuses)
       .end_object();
   json.key("points").begin_array();
   for (const sweep_engine_entry& entry : report.entries) {

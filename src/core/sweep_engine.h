@@ -21,7 +21,12 @@
 //     across run() calls (the substrate for a long-running sweep service).
 //
 // Cache-key contract -- what may be reused when:
-//   * built code + decoder_design + trial_context: keyed by
+//   * built code: keyed by (code_type, radix, full_length). A code is a
+//     pure function of its key, so one immutable copy serves every design
+//     of that key; the designs share it by pointer and never copy it. A
+//     scan over the half-cave size N therefore builds (and validates) its
+//     code once.
+//   * decoder_design + trial_context: keyed by
 //     (code_type, radix, full_length, nanowires). Everything inside is
 //     sigma-independent: the pattern, doping and dose-count matrices, the
 //     V_T levels, and the context's drive/nominal/sqrt(nu) tables only
@@ -39,13 +44,28 @@
 //     different platform needs a different engine.
 // Per-point sigma is applied through the sigma overrides of
 // yield::analytic_yield and yield::mc_options, which never touch the cached
-// tables. The caches are guarded by a mutex during the prepare phase of
-// run(); the evaluation phase reads only immutable entries, so concurrent
-// run() calls on one engine are safe.
+// tables.
+//
+// Concurrency: the engine mutex guards the cache maps and the counters
+// only -- lookups, inserts and increments (plus the O(N) contact plans).
+// Codes, designs and trial contexts are built outside it, each behind a
+// once-latch of its own key: the first request for a key builds it, later
+// requests for that key wait for that one build, and a request for any
+// other key never waits on it. When a code or design build fails with an
+// error that is a pure function of the key (invalid_argument_error,
+// logic_invariant_error -- a bad grid point, or a balanced-Gray search
+// that gives up), the failure stays in the key's slot and is rethrown to
+// every later request for it. Any other failure (std::bad_alloc, or the
+// failpoint "engine.design.build") removes the slot, and a failed trial
+// context is never remembered, so the next request builds again. Entries
+// are immutable once built, so concurrent run() calls on one engine are
+// safe.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -188,12 +208,16 @@ struct sweep_engine_entry {
   double mc_trials_per_second = 0.0;
 };
 
-/// How much work the keyed caches saved during run() calls.
+/// How much work the keyed caches saved during run() calls. A build counts
+/// when it starts, so a failed build counts too; a request answered from
+/// an existing entry -- or from a remembered failure -- counts as a reuse.
 struct sweep_cache_stats {
-  std::size_t designs_built = 0;  ///< (code, design, context) constructions
+  std::size_t designs_built = 0;  ///< (design, context) constructions
   std::size_t design_reuses = 0;  ///< points served by an existing entry
   std::size_t plans_built = 0;
   std::size_t plan_reuses = 0;
+  std::size_t codes_built = 0;    ///< one per (code_type, radix, length)
+  std::size_t code_reuses = 0;    ///< designs served by an existing code
 };
 
 /// A completed sweep: entries in grid order plus everything needed to
@@ -242,22 +266,45 @@ class sweep_engine {
 
  private:
   struct prepared_design;
+  using code_key = std::tuple<int, unsigned, std::size_t>;
   using design_key = std::tuple<int, unsigned, std::size_t, std::size_t>;
   using plan_key = std::pair<std::size_t, std::size_t>;
+  /// A key's once-latch, guarded by mutex_: ready once the key's build
+  /// ended, holding the built entry or the build's failure.
+  template <typename T>
+  struct latch {
+    bool ready = false;
+    std::shared_ptr<const T> value;
+    std::exception_ptr failure;
+  };
+  template <typename Key, typename T>
+  using latches = std::map<Key, std::shared_ptr<latch<T>>>;
 
-  /// Returns the cached entry for the key, building (and caching) it and
-  /// its contact plan on a miss. Caller must hold mutex_.
-  const prepared_design& prepare_locked(const sweep_request& request) const;
+  /// Returns the design entry for the request, building it (and its code
+  /// and contact plan) on a miss. Called without mutex_ held.
+  std::shared_ptr<const prepared_design> prepare(
+      const sweep_request& request) const;
+
+  /// Returns the entry in `slots` for `key`, running `build` for the first
+  /// request and waiting on that build's latch for every later one (see
+  /// the header comment for which failures stay remembered).
+  template <typename Key, typename T, typename Build>
+  std::shared_ptr<const T> once(latches<Key, T>& slots, const Key& key,
+                                std::size_t& built, std::size_t& reused,
+                                const Build& build) const;
 
   crossbar::crossbar_spec spec_;
   device::technology tech_;
 
   mutable std::mutex mutex_;
+  /// Signalled, under mutex_, whenever a build ends.
+  mutable std::condition_variable built_;
   // Contexts reference the plans, so plans_ must outlive designs_
   // (members are destroyed in reverse declaration order).
   mutable std::map<plan_key, std::unique_ptr<crossbar::contact_group_plan>>
       plans_;
-  mutable std::map<design_key, std::unique_ptr<prepared_design>> designs_;
+  mutable latches<code_key, codes::code> codes_;
+  mutable latches<design_key, prepared_design> designs_;
   mutable sweep_cache_stats stats_;
 };
 

@@ -8,29 +8,42 @@
 
 namespace nwdec::decoder {
 
-decoder_design::decoder_design(codes::code code, std::size_t nanowires,
+decoder_design::decoder_design(std::shared_ptr<const codes::code> code,
+                               std::size_t nanowires,
                                const device::technology& tech)
-    // `code` is copied (not moved) into the delegated constructor because
-    // the dose-table argument also reads code.radix and evaluation order
+    // `code` is passed on as a copy of the pointer (not moved) because the
+    // dose-table argument also reads code->radix and evaluation order
     // between the two arguments is unspecified.
     : decoder_design(code, nanowires, tech,
-                     device::physical_dose_table(code.radix, tech)) {}
+                     device::physical_dose_table(code->radix, tech)) {}
 
-decoder_design::decoder_design(codes::code code, std::size_t nanowires,
+decoder_design::decoder_design(std::shared_ptr<const codes::code> code,
+                               std::size_t nanowires,
                                const device::technology& tech,
                                device::dose_table doses)
     : code_(std::move(code)),
       tech_(tech),
-      levels_(code_.radix, tech),
+      levels_(code_->radix, tech),
       doses_(device::validated_dose_table(std::move(doses))),
-      pattern_(pattern_matrix(code_, nanowires)),
+      pattern_(pattern_matrix(*code_, nanowires)),
       final_doping_(decoder::final_doping(pattern_, doses_)),
       step_doping_(decoder::step_doping(final_doping_)),
       dose_counts_(decoder::dose_count_matrix(step_doping_)),
       complexity_(decoder::fabrication_complexity(step_doping_)) {
-  NWDEC_EXPECTS(doses_.size() >= code_.radix,
+  NWDEC_EXPECTS(doses_.size() >= code_->radix,
                 "dose table must cover every digit value of the code");
 }
+
+decoder_design::decoder_design(codes::code code, std::size_t nanowires,
+                               const device::technology& tech)
+    : decoder_design(std::make_shared<const codes::code>(std::move(code)),
+                     nanowires, tech) {}
+
+decoder_design::decoder_design(codes::code code, std::size_t nanowires,
+                               const device::technology& tech,
+                               device::dose_table doses)
+    : decoder_design(std::make_shared<const codes::code>(std::move(code)),
+                     nanowires, tech, std::move(doses)) {}
 
 matrix<double> decoder_design::variability() const {
   return variability_matrix(dose_counts_, tech_.sigma_vt);

@@ -6,9 +6,14 @@
 // and keeps the intermediate matrices available for inspection, testing,
 // the process simulator (which consumes S) and the yield analysis (which
 // consumes nu).
+//
+// The design shares its code: it holds the code by pointer to const, so
+// every design built from one code -- the sweep engine builds one per
+// half-cave size N -- keeps a single copy of the words.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "codes/code_space.h"
 #include "device/doping_map.h"
@@ -25,16 +30,23 @@ class decoder_design {
   /// under technology `tech`. The dose table is derived from the device
   /// model; pass a custom table with the other constructor to reproduce
   /// the paper's worked examples.
-  decoder_design(codes::code code, std::size_t nanowires,
-                 const device::technology& tech);
+  decoder_design(std::shared_ptr<const codes::code> code,
+                 std::size_t nanowires, const device::technology& tech);
 
   /// Same, but with an explicit digit->doping table (cm^-3, strictly
   /// increasing); the table length must be >= the code radix.
+  decoder_design(std::shared_ptr<const codes::code> code,
+                 std::size_t nanowires, const device::technology& tech,
+                 device::dose_table doses);
+
+  /// The two constructors above for a code the design owns alone.
+  decoder_design(codes::code code, std::size_t nanowires,
+                 const device::technology& tech);
   decoder_design(codes::code code, std::size_t nanowires,
                  const device::technology& tech, device::dose_table doses);
 
   /// The arranged code in use.
-  const codes::code& code() const { return code_; }
+  const codes::code& code() const { return *code_; }
   /// N: nanowires per half cave.
   std::size_t nanowire_count() const { return pattern_.rows(); }
   /// M: doping regions per nanowire (full code length).
@@ -67,7 +79,7 @@ class decoder_design {
   double average_variability_sigma_units() const;
 
  private:
-  codes::code code_;
+  std::shared_ptr<const codes::code> code_;
   device::technology tech_;
   device::vt_levels levels_;
   device::dose_table doses_;

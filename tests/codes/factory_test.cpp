@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "codes/arrangement.h"
 #include "codes/gray_code.h"
@@ -107,9 +110,47 @@ TEST(FactoryTest, PatternSequenceCycles) {
 
 // Every factory code must pass full validation: distinct antichain words of
 // the declared shape. Parameterized across the whole experiment grid.
-class FactoryGridTest
-    : public ::testing::TestWithParam<
-          std::tuple<code_type, unsigned, std::size_t>> {};
+using grid_param = std::tuple<code_type, unsigned, std::size_t>;
+
+std::string grid_name(const ::testing::TestParamInfo<grid_param>& info) {
+  return code_type_name(std::get<0>(info.param)) + "_n" +
+         std::to_string(std::get<1>(info.param)) + "_M" +
+         std::to_string(std::get<2>(info.param));
+}
+
+// The cartesian product types x radixes x lengths, lengths varying fastest.
+std::vector<grid_param> grid(std::initializer_list<code_type> types,
+                             std::initializer_list<unsigned> radixes,
+                             std::initializer_list<std::size_t> lengths) {
+  std::vector<grid_param> out;
+  for (const code_type type : types) {
+    for (const unsigned radix : radixes) {
+      for (const std::size_t length : lengths) {
+        out.emplace_back(type, radix, length);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<grid_param> tree_family() {
+  return grid({code_type::tree, code_type::gray}, {2, 3}, {4, 6, 8, 10});
+}
+
+// The balanced-gray search is exponential in the space size; the ternary
+// M = 10 space (243 words) takes minutes, and no experiment uses it, so
+// the balanced grid stops at M = 8 for radix 3.
+std::vector<grid_param> balanced_family() {
+  std::vector<grid_param> out =
+      grid({code_type::balanced_gray}, {2}, {4, 6, 8, 10});
+  for (const grid_param& ternary :
+       grid({code_type::balanced_gray}, {3}, {4, 6, 8})) {
+    out.push_back(ternary);
+  }
+  return out;
+}
+
+class FactoryGridTest : public ::testing::TestWithParam<grid_param> {};
 
 TEST_P(FactoryGridTest, ProducesValidCodes) {
   const auto [type, radix, length] = GetParam();
@@ -120,49 +161,55 @@ TEST_P(FactoryGridTest, ProducesValidCodes) {
   EXPECT_EQ(c.length, length);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    TreeFamily, FactoryGridTest,
-    ::testing::Combine(::testing::Values(code_type::tree, code_type::gray),
-                       ::testing::Values(2u, 3u),
-                       ::testing::Values(std::size_t{4}, std::size_t{6},
-                                         std::size_t{8}, std::size_t{10})),
-    [](const auto& info) {
-      return code_type_name(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_M" +
-             std::to_string(std::get<2>(info.param));
-    });
-
-// The balanced-gray search is exponential in the space size; the ternary
-// M = 10 space (243 words) takes minutes, and no experiment uses it, so
-// the balanced grid stops at M = 8 for radix 3.
-INSTANTIATE_TEST_SUITE_P(
-    BalancedFamily, FactoryGridTest,
-    ::testing::Values(
-        std::make_tuple(code_type::balanced_gray, 2u, std::size_t{4}),
-        std::make_tuple(code_type::balanced_gray, 2u, std::size_t{6}),
-        std::make_tuple(code_type::balanced_gray, 2u, std::size_t{8}),
-        std::make_tuple(code_type::balanced_gray, 2u, std::size_t{10}),
-        std::make_tuple(code_type::balanced_gray, 3u, std::size_t{4}),
-        std::make_tuple(code_type::balanced_gray, 3u, std::size_t{6}),
-        std::make_tuple(code_type::balanced_gray, 3u, std::size_t{8})),
-    [](const auto& info) {
-      return code_type_name(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_M" +
-             std::to_string(std::get<2>(info.param));
-    });
-
+INSTANTIATE_TEST_SUITE_P(TreeFamily, FactoryGridTest,
+                         ::testing::ValuesIn(tree_family()), grid_name);
+INSTANTIATE_TEST_SUITE_P(BalancedFamily, FactoryGridTest,
+                         ::testing::ValuesIn(balanced_family()), grid_name);
 INSTANTIATE_TEST_SUITE_P(
     HotFamily, FactoryGridTest,
-    ::testing::Combine(::testing::Values(code_type::hot,
-                                         code_type::arranged_hot),
-                       ::testing::Values(2u),
-                       ::testing::Values(std::size_t{4}, std::size_t{6},
-                                         std::size_t{8}, std::size_t{10})),
-    [](const auto& info) {
-      return code_type_name(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_M" +
-             std::to_string(std::get<2>(info.param));
-    });
+    ::testing::ValuesIn(grid({code_type::hot, code_type::arranged_hot}, {2},
+                             {4, 6, 8, 10})),
+    grid_name);
+// Spaces of 4,096 to 48,620 words: the pairwise antichain loop took
+// seconds to minutes here, the digit-sum proof milliseconds.
+INSTANTIATE_TEST_SUITE_P(
+    LargeHotFamily, FactoryGridTest,
+    ::testing::ValuesIn(grid({code_type::hot, code_type::arranged_hot}, {2},
+                             {16, 18})),
+    grid_name);
+INSTANTIATE_TEST_SUITE_P(
+    LargeTreeFamily, FactoryGridTest,
+    ::testing::ValuesIn(grid({code_type::tree, code_type::gray}, {2}, {24})),
+    grid_name);
+
+// The digit-sum proof against the pairwise definition: every factory code
+// takes the fast route (distinct words, one digit sum), and the pairwise
+// loop agrees with its verdict.
+class AntichainOracleTest : public ::testing::TestWithParam<grid_param> {};
+
+TEST_P(AntichainOracleTest, DigitSumProofAgreesWithPairwiseLoop) {
+  const auto [type, radix, length] = GetParam();
+  const code c = make_code(type, radix, length);
+  EXPECT_TRUE(share_one_digit_sum(c.words));
+  EXPECT_TRUE(all_distinct(c.words));
+  EXPECT_TRUE(is_antichain(c.words));
+  EXPECT_TRUE(is_antichain_pairwise(c.words));
+}
+
+INSTANTIATE_TEST_SUITE_P(TreeFamily, AntichainOracleTest,
+                         ::testing::ValuesIn(tree_family()), grid_name);
+INSTANTIATE_TEST_SUITE_P(BalancedFamily, AntichainOracleTest,
+                         ::testing::ValuesIn(balanced_family()), grid_name);
+INSTANTIATE_TEST_SUITE_P(
+    HotFamily, AntichainOracleTest,
+    ::testing::ValuesIn(grid({code_type::hot, code_type::arranged_hot}, {2},
+                             {4, 6, 8, 10, 12, 14})),
+    grid_name);
+INSTANTIATE_TEST_SUITE_P(
+    LongTreeFamily, AntichainOracleTest,
+    ::testing::ValuesIn(grid({code_type::tree, code_type::gray}, {2},
+                             {12, 14, 16, 18, 20})),
+    grid_name);
 
 }  // namespace
 }  // namespace nwdec::codes

@@ -41,6 +41,66 @@ TEST(AntichainTest, SingleWordIsAnAntichain) {
   EXPECT_TRUE(is_antichain({parse_word(2, "0101")}));
 }
 
+// Crafted inputs for the two routes of the antichain proof: one digit sum
+// (proved by distinctness alone) and the pairwise fallback.
+TEST(AntichainTest, ComparableWordsFailThroughTheFallback) {
+  const std::vector<code_word> words = {parse_word(2, "01"),
+                                        parse_word(2, "11")};  // 01 <= 11
+  EXPECT_FALSE(share_one_digit_sum(words));
+  EXPECT_FALSE(is_antichain(words));
+  code bad;
+  bad.radix = 2;
+  bad.length = 2;
+  bad.words = words;
+  EXPECT_THROW(validate_code(bad), logic_invariant_error);
+}
+
+TEST(AntichainTest, UnequalDigitSumsCanStillBeAnAntichain) {
+  // Sums 2 and 1, yet neither word covers the other: the digit-sum test
+  // cannot prove this one, and the pairwise fallback must accept it.
+  const std::vector<code_word> words = {parse_word(2, "0011"),
+                                        parse_word(2, "0100")};
+  EXPECT_FALSE(share_one_digit_sum(words));
+  EXPECT_TRUE(is_antichain(words));
+  EXPECT_TRUE(is_antichain_pairwise(words));
+  code c;
+  c.radix = 2;
+  c.length = 4;
+  c.words = words;
+  EXPECT_NO_THROW(validate_code(c));
+}
+
+TEST(AntichainTest, RepeatedWordIsNeitherDistinctNorAnAntichain) {
+  // One digit sum, but a repeated word covers itself: the proof needs
+  // distinctness as well as the common sum.
+  const std::vector<code_word> words = {
+      parse_word(2, "0110"), parse_word(2, "1001"), parse_word(2, "0110")};
+  EXPECT_TRUE(share_one_digit_sum(words));
+  EXPECT_FALSE(is_antichain(words));
+  EXPECT_FALSE(is_antichain_pairwise(words));
+  code bad;
+  bad.radix = 2;
+  bad.length = 4;
+  bad.words = words;
+  try {
+    validate_code(bad);
+    FAIL() << "expected logic_invariant_error";
+  } catch (const logic_invariant_error& failure) {
+    EXPECT_NE(std::string(failure.what()).find("not distinct"),
+              std::string::npos)
+        << failure.what();
+  }
+}
+
+TEST(AntichainTest, MixedShapesAreLeftToThePairwiseCheck) {
+  // Equal sums and distinct words, but of two lengths: the digit-sum test
+  // does not apply, and the pairwise check rejects the comparison.
+  const std::vector<code_word> words = {parse_word(2, "01"),
+                                        parse_word(2, "001")};
+  EXPECT_FALSE(share_one_digit_sum(words));
+  EXPECT_THROW(is_antichain(words), invalid_argument_error);
+}
+
 TEST(DistinctTest, DetectsDuplicates) {
   EXPECT_TRUE(all_distinct(tree_code_words(2, 3)));
   std::vector<code_word> dup = {parse_word(2, "01"), parse_word(2, "01")};

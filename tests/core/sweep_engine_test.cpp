@@ -10,6 +10,9 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "codes/factory.h"
 #include "core/experiments.h"
@@ -17,6 +20,7 @@
 #include "crossbar/contact_groups.h"
 #include "decoder/decoder_design.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "yield/analytic_yield.h"
 
 namespace nwdec::core {
@@ -236,6 +240,127 @@ TEST(SweepEngineTest, BadGridPointsFailWithActionableDiagnostics) {
   }
   EXPECT_THROW(engine.run(std::vector<sweep_request>{}),
                invalid_argument_error);
+}
+
+// ------------------------------------------------- code sharing and latches
+
+TEST(SweepEngineCacheTest, OneCodeServesEveryHalfCaveSize) {
+  const sweep_engine engine = make_engine();
+  sweep_request request;
+  request.design = {codes::code_type::tree, 2, 8};
+  request.nanowires = 20;
+  engine.run({request});
+  request.nanowires = 24;
+  const sweep_engine_report report = engine.run({request});
+
+  EXPECT_EQ(report.cache.codes_built, 1u);
+  EXPECT_EQ(report.cache.code_reuses, 1u);
+  EXPECT_EQ(report.cache.designs_built, 2u);
+  EXPECT_EQ(report.cache.design_reuses, 0u);
+  const std::string json = to_json(report);
+  EXPECT_NE(json.find("\"codes_built\": 1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"code_reuses\": 1"), std::string::npos) << json;
+}
+
+TEST(SweepEngineCacheTest, DeterministicBuildFailureIsRemembered) {
+  const sweep_engine engine = make_engine();
+  sweep_request bad;
+  bad.design = {codes::code_type::tree, 2, 5};  // odd tree-family length
+  const auto message_of_run = [&]() -> std::string {
+    try {
+      engine.run({bad});
+    } catch (const invalid_argument_error& diagnostic) {
+      return diagnostic.what();
+    }
+    return "";
+  };
+  const std::string first = message_of_run();
+  EXPECT_NE(first.find("full length 5"), std::string::npos) << first;
+  EXPECT_EQ(message_of_run(), first);
+
+  const sweep_cache_stats stats = engine.cache_stats();
+  EXPECT_EQ(stats.codes_built, 1u);
+  EXPECT_EQ(stats.designs_built, 1u);
+  EXPECT_EQ(stats.design_reuses, 1u);  // the remembered failure
+}
+
+TEST(SweepEngineCacheTest, TransientBuildFailureIsBuiltAgain) {
+  const sweep_engine engine = make_engine();
+  sweep_request request;
+  request.design = {codes::code_type::tree, 2, 8};
+  request.mc_trials = 20;
+  failpoints::arm("engine.design.build", failpoints::action::error);
+  EXPECT_THROW(engine.run({request}), nwdec::error);
+  failpoints::disarm("engine.design.build");
+
+  const sweep_engine_report report = engine.run({request});
+  EXPECT_TRUE(report.entries.front().evaluation.has_monte_carlo);
+  EXPECT_EQ(report.cache.designs_built, 2u);
+  EXPECT_EQ(report.cache.design_reuses, 0u);
+  EXPECT_EQ(report.cache.codes_built, 1u);
+}
+
+TEST(SweepEngineConcurrencyTest, ConcurrentColdRequestsBuildOnce) {
+  const sweep_engine engine = make_engine();
+  sweep_request request;
+  request.design = {codes::code_type::arranged_hot, 2, 12};
+  request.nanowires = 60;
+  request.mc_trials = 100;
+  sweep_engine_options options;
+  options.threads = 1;
+  options.seed = 7;
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<sweep_engine_report> reports(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      reports[t] = engine.run({request}, options);
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+
+  const sweep_cache_stats stats = engine.cache_stats();
+  EXPECT_EQ(stats.codes_built, 1u);
+  EXPECT_EQ(stats.code_reuses, 0u);
+  EXPECT_EQ(stats.designs_built, 1u);
+  EXPECT_EQ(stats.design_reuses, kThreads - 1);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    expect_entries_identical(reports[0].entries.front(),
+                             reports[t].entries.front());
+  }
+}
+
+// A slow build holds back only requests for its own key: a cold point for
+// another key is answered while the slow one is still building. An
+// ordering check, not a wall-clock bound, so it holds under sanitizers.
+TEST(SweepEngineConcurrencyTest, SlowBuildDoesNotStallAnotherKey) {
+  const sweep_engine engine = make_engine();
+  sweep_request slow;
+  slow.design = {codes::code_type::balanced_gray, 2, 12};  // ~0.4 s search
+  std::atomic<bool> slow_returned{false};
+  std::thread builder([&] {
+    engine.run({slow});
+    slow_returned = true;
+  });
+  while (engine.cache_stats().codes_built == 0) std::this_thread::yield();
+
+  // Enough trials that, were it held back until the slow build ended, the
+  // slow request (analytic, nothing left to do) would return first.
+  sweep_request quick;
+  quick.design = {codes::code_type::tree, 2, 8};
+  quick.mc_trials = 2000;
+  const sweep_engine_report report = engine.run({quick});
+  const bool answered_during_slow_build = !slow_returned.load();
+  builder.join();
+
+  EXPECT_TRUE(answered_during_slow_build)
+      << "the TC-8 point waited for the BGC-12 build";
+  EXPECT_TRUE(report.entries.front().evaluation.has_monte_carlo);
+  EXPECT_EQ(engine.cache_stats().codes_built, 2u);
 }
 
 // ------------------------------------------------------------ fingerprints

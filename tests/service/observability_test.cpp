@@ -65,6 +65,31 @@ TEST(ObservabilityStatsTest, DetailAddsUptimeQueueDepthAndLatency) {
   EXPECT_NE(detail.find("\"p99_ms\":"), std::string::npos) << detail;
 }
 
+TEST(ObservabilityStatsTest, DetailCountsCodeBuildsAndReuses) {
+  sweep_service service = make_service();
+  api::dispatcher handler(service);
+  for (const std::string& line : kSmokeScript) handler.handle_line(line);
+  // TC and BGC at lengths 8 and 10: four codes, each built once.
+  EXPECT_NE(handler.handle_line(R"({"id":9,"kind":"stats","detail":true})")
+                .find(R"("plan_reuses":2,"codes_built":4,"code_reuses":0})"),
+            std::string::npos);
+
+  // A new half-cave size is a new design on an existing code.
+  handler.handle_line(
+      R"({"id":10,"kind":"sweep","codes":["TC"],"lengths":[8],)"
+      R"("nanowires":[24]})");
+  const std::string detail =
+      handler.handle_line(R"({"id":11,"kind":"stats","detail":true})");
+  EXPECT_NE(detail.find(R"("designs_built":5,)"), std::string::npos)
+      << detail;
+  EXPECT_NE(detail.find(R"("codes_built":4,"code_reuses":1})"),
+            std::string::npos)
+      << detail;
+  EXPECT_EQ(handler.handle_line(R"({"id":12,"kind":"stats"})")
+                .find("codes_built"),
+            std::string::npos);
+}
+
 TEST(ObservabilityMetricsVerbTest, SnapshotsTheRegistryInBand) {
   sweep_service service = make_service();
   api::dispatcher handler(service);
