@@ -1,5 +1,8 @@
 #include "decoder/addressing.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "decoder/addressing_kernels.h"
 #include "util/cpu.h"
 #include "util/error.h"
@@ -41,60 +44,88 @@ const kernel_table& active_kernel_table() {
   // on the identically-conditioned rng tables); a null table here means
   // the two kernel sets' build gating diverged.
   NWDEC_ENSURES(table != nullptr,
-                "active SIMD path has no compiled margin-kernel table");
+                "active SIMD path has no compiled classify-kernel table");
   return *table;
 }
 
 }  // namespace detail
 
-bool conducts_block(const double* gate_voltages, const double* realized_lanes,
-                    std::size_t lane_stride, std::size_t regions,
-                    std::size_t lanes, std::uint8_t* conducts_out) {
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "conducts_block needs at least one region and one lane");
-  NWDEC_EXPECTS(lane_stride >= lanes,
-                "lane stride must cover every lane");
-  return detail::active_kernel_table().conducts_block(
-      gate_voltages, realized_lanes, lane_stride, regions, lanes,
-      conducts_out);
+void conduction_masks(const double* deviates, std::size_t lane_stride,
+                      std::size_t lanes, std::size_t cells,
+                      const double* nominal, const double* noise_scale,
+                      double sigma, const double* drive, unsigned radix,
+                      std::uint64_t* masks) {
+  NWDEC_EXPECTS(cells >= 1 && radix >= 1 && lanes >= 1,
+                "conduction_masks needs cells, digits and lanes");
+  NWDEC_EXPECTS(lane_stride >= lanes, "lane stride must cover every lane");
+  detail::active_kernel_table().conduction_masks(
+      deviates, lane_stride, lanes, cells, nominal, noise_scale, sigma, drive,
+      radix, masks);
 }
 
-bool addressable_block(const double* gate_voltages, const double* vt_lanes,
-                       std::size_t lane_stride, std::size_t regions,
-                       std::size_t lanes, std::size_t self,
-                       const std::size_t* members, std::size_t member_count,
-                       double* margin_scratch, double* addressable_out) {
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "addressable_block needs at least one region and one lane");
-  return detail::active_kernel_table().addressable_block(
-      gate_voltages, vt_lanes, lane_stride, regions, lanes, self, members,
-      member_count, margin_scratch, addressable_out);
+void window_masks(const double* deviates, std::size_t lane_stride,
+                  std::size_t lanes, std::size_t nanowires,
+                  std::size_t regions, const double* nominal,
+                  const double* noise_scale, double sigma,
+                  const double* low_guard, double window_half_width,
+                  std::uint64_t* masks) {
+  NWDEC_EXPECTS(nanowires >= 1 && regions >= 1 && lanes >= 1,
+                "window_masks needs nanowires, regions and lanes");
+  NWDEC_EXPECTS(lane_stride >= lanes, "lane stride must cover every lane");
+  detail::active_kernel_table().window_masks(
+      deviates, lane_stride, lanes, nanowires, regions, nominal, noise_scale,
+      sigma, low_guard, window_half_width, masks);
 }
 
-void addressable_group_block(const double* drive_table,
-                             const double* vt_lanes, std::size_t lane_stride,
-                             std::size_t regions, std::size_t lanes,
-                             const std::size_t* members,
-                             std::size_t member_count, double* margin_scratch,
-                             double* out, std::size_t out_stride) {
-  NWDEC_EXPECTS(member_count >= 1,
-                "a contact group holds at least one member");
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "addressable_group_block needs regions and lanes");
-  detail::active_kernel_table().addressable_group_block(
-      drive_table, vt_lanes, lane_stride, regions, lanes, members,
-      member_count, margin_scratch, out, out_stride);
+std::vector<std::uint32_t> address_selectors(
+    const matrix<codes::digit>& pattern, unsigned radix) {
+  const std::size_t regions = pattern.cols();
+  std::vector<std::uint32_t> selectors(pattern.rows() * regions);
+  for (std::size_t r = 0; r < pattern.rows(); ++r) {
+    const codes::digit* address = pattern.row_ptr(r);
+    NWDEC_EXPECTS(std::all_of(address, address + regions,
+                              [radix](codes::digit d) { return d < radix; }),
+                  "pattern digit exceeds the radix");
+    std::uint32_t* out = selectors.data() + r * regions;
+    for (unsigned d = 0; d < radix; ++d) {
+      for (std::size_t j = 0; j < regions; ++j) {
+        if (address[j] == d) *out++ = static_cast<std::uint32_t>(j * radix + d);
+      }
+    }
+  }
+  return selectors;
 }
 
-bool window_margin_block(const double* vt_lanes_row, std::size_t lane_stride,
-                         std::size_t lanes, const double* nominal,
-                         const double* low_guard, double window_half_width,
-                         std::size_t regions, double* margin, double* out) {
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "window_margin_block needs at least one region and one lane");
-  return detail::active_kernel_table().window_margin_block(
-      vt_lanes_row, lane_stride, lanes, nominal, low_guard,
-      window_half_width, regions, margin, out);
+void addressable_masks(const std::uint64_t* plane,
+                       const std::uint32_t* selectors, std::size_t regions,
+                       unsigned radix, const std::size_t* members,
+                       std::size_t member_count, std::uint64_t* live) {
+  // An impostor's first `head` selected words are ANDed unconditionally:
+  // nearly every impostor dies there, and a fixed-length prefix is cheaper
+  // than a loop exit that mispredicts where it dies. The remaining words,
+  // and the scan over impostors, stop as soon as their running AND is
+  // zero: a lane, once dead, cannot come back.
+  const std::size_t row_words = regions * radix;
+  const std::size_t head = regions < 4 ? regions : 4;
+  for (std::size_t k = 0; k < member_count; ++k) {
+    const std::size_t self = members[k];
+    const std::uint32_t* select = selectors + self * regions;
+    std::uint64_t alive = live[self];
+    const std::uint64_t* own = plane + self * row_words;
+    for (std::size_t q = 0; q < regions && alive != 0; ++q) {
+      alive &= own[select[q]];
+    }
+    for (std::size_t o = 0; o < member_count && alive != 0; ++o) {
+      if (members[o] == self) continue;
+      const std::uint64_t* other = plane + members[o] * row_words;
+      std::uint64_t impostor = alive;
+      std::size_t q = 0;
+      for (; q < head; ++q) impostor &= other[select[q]];
+      for (; q < regions && impostor != 0; ++q) impostor &= other[select[q]];
+      alive &= ~impostor;
+    }
+    live[self] = alive;
+  }
 }
 
 std::vector<double> drive_pattern(const codes::code_word& w,

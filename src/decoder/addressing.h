@@ -14,13 +14,15 @@
 // voltage-level rule on *realized* V_T matrices (used by the Monte-Carlo
 // yield simulator, where process variability has displaced every V_T).
 //
-// The blocked kernels (conducts_block, addressable_block,
-// addressable_group_block, window_margin_block) are runtime-SIMD-
-// dispatched: one binary carries scalar / AVX2 / AVX-512
+// The Monte-Carlo engine decides a whole block of trial lanes at once on
+// 64-bit lane masks. The classify kernels (conduction_masks,
+// window_masks) turn realized thresholds into masks and are
+// runtime-SIMD-dispatched: one binary carries scalar / AVX2 / AVX-512
 // instantiations and util/cpu picks the widest one the running CPU
-// supports (NWDEC_SIMD_PATH overrides; see util/cpu.h). Every path
-// performs the same IEEE operations per lane, so the chosen path never
-// changes a result, only throughput.
+// supports (NWDEC_SIMD_PATH overrides; see util/cpu.h). Every path makes
+// the same IEEE comparison per lane, so the chosen path never changes a
+// result, only throughput. addressable_masks then applies the contact-group
+// rule with word ANDs.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +49,8 @@ bool conducts(const std::vector<double>& realized_vt,
 
 /// Span form of the voltage rule for flat buffers (a realized-Vt matrix row
 /// against a precomputed drive-table row). Unchecked: the caller guarantees
-/// both spans hold `regions` entries. The Monte-Carlo yield engine's
-/// allocation-free inner loop (trial_context::operational_ok) calls this.
+/// both spans hold `regions` entries. The Monte-Carlo engine's per-trial
+/// oracle (trial_context::operational_ok) calls this.
 inline bool conducts(const double* realized_vt, const double* gate_voltages,
                      std::size_t regions) {
   for (std::size_t j = 0; j < regions; ++j) {
@@ -57,75 +59,68 @@ inline bool conducts(const double* realized_vt, const double* gate_voltages,
   return true;
 }
 
-/// Blocked voltage rule: one drive row evaluated against `lanes` realized
-/// rows at once. The realized thresholds are a structure-of-arrays slab --
-/// region j of lane t lives at realized_lanes[j * lane_stride + t] -- so
-/// the lane body is a contiguous branch-free sweep the compiler can
-/// vectorize. Lane t conducts iff gate[j] > vt for every region; the kernel
-/// computes the conduction margin min_j (gate[j] - vt) per lane (exactly
-/// equivalent: for finite doubles a > b iff a - b > 0, a nonzero
-/// difference of doubles never rounds to zero). Writes
-/// conducts_out[t] = 1 / 0 and returns true when any lane conducts.
-/// Requires regions >= 1 and lanes >= 1.
-bool conducts_block(const double* gate_voltages, const double* realized_lanes,
-                    std::size_t lane_stride, std::size_t regions,
-                    std::size_t lanes, std::uint8_t* conducts_out);
+/// Trial lanes per mask word: bit b of word w stands for lane 64 * w + b.
+inline constexpr std::size_t mask_lanes = 64;
 
-/// Whole-contact-group blocked kernel: addressable_out[t] becomes 1.0 when,
-/// in lane t, nanowire `self` conducts under `gate_voltages` while every
-/// other listed group member blocks (the operational criterion for one
-/// address), else 0.0 -- a multiplication-ready lane mask. The slab holds
-/// every nanowire's lanes: region j of nanowire r at
-/// vt_lanes[(r * regions + j) * lane_stride + t]. `members` may include
-/// `self` (it is skipped). Early-exit mask at the self boundary: when the
-/// addressed nanowire blocks in every lane the whole member scan is
-/// skipped -- the one reduction that reliably pays, since at high sigma
-/// entire blocks die there. Member sweeps run straight-line: an all-lanes
-/// exit almost never fires across a whole block mid-scan and its
-/// reduction would cost more than it saves.
-/// `margin_scratch` must hold 2 * lanes doubles. Returns true when any lane
-/// stays addressable. Requires regions >= 1 and lanes >= 1.
-bool addressable_block(const double* gate_voltages, const double* vt_lanes,
-                       std::size_t lane_stride, std::size_t regions,
-                       std::size_t lanes, std::size_t self,
-                       const std::size_t* members, std::size_t member_count,
-                       double* margin_scratch, double* addressable_out);
+/// Mask words covering `lanes` trial lanes.
+constexpr std::size_t mask_words(std::size_t lanes) {
+  return (lanes + mask_lanes - 1) / mask_lanes;
+}
 
-/// Whole-contact-group kernel: lane verdicts for every member of one
-/// contact group in a single pass. Member k (nanowire row members[k]) is
-/// addressable in lane t iff it conducts under its own address while every
-/// other member blocks; out[k * out_stride + t] receives the 1.0 / 0.0
-/// lane mask. Drive row of nanowire r starts at drive_table + r * regions;
-/// the V_T slab is laid out as in addressable_block. Equivalent to one
-/// addressable_block call per member, but the member-major sweep order
-/// keeps each member's lane rows cache-hot while every drive row of the
-/// group crosses them, so the slab is read ~twice per row instead of once
-/// per (member, impostor) pair -- the difference between an L1- and an
-/// L2-bound kernel at realistic group sizes. Members whose self margin is
-/// already dead in every lane are skipped as addressees (early-exit mask);
-/// they still sweep as impostors, exactly like the scalar path.
-/// `margin_scratch` must hold (member_count + 1) * lanes doubles.
-void addressable_group_block(const double* drive_table,
-                             const double* vt_lanes, std::size_t lane_stride,
-                             std::size_t regions, std::size_t lanes,
-                             const std::size_t* members,
-                             std::size_t member_count, double* margin_scratch,
-                             double* out, std::size_t out_stride);
+/// Classify kernel of the operational criterion: realizes every cell's
+/// threshold in every trial lane and records, per digit value, the lanes in
+/// which the region conducts. Cell k (region j of nanowire i, k = i *
+/// regions + j) of lane t holds the standard-normal deviate
+/// deviates[k * lane_stride + t]; its realized threshold is
+///   vt = nominal[k] + (sigma * noise_scale[k]) * z,
+/// the Monte-Carlo engine's exact expression (yield/trial_context.h). Bit b
+/// of masks[(w * cells + k) * radix + d] is set iff drive[d] - vt > 0 for
+/// lane t = 64 * w + b: the region conducts when its mesowire drives digit
+/// d. A nanowire therefore conducts under an address in lane t iff bit t is
+/// set in every mask its regions select with the address digits. Bits of
+/// lanes >= `lanes` are zero. Requires cells, radix and lanes >= 1 and
+/// lane_stride >= lanes.
+void conduction_masks(const double* deviates, std::size_t lane_stride,
+                      std::size_t lanes, std::size_t cells,
+                      const double* nominal, const double* noise_scale,
+                      double sigma, const double* drive, unsigned radix,
+                      std::uint64_t* masks);
 
-/// Blocked window-criterion kernel (the Monte-Carlo engine's mc_mode::
-/// window): out[t] = 1.0 when lane t's realized V_T sits inside the
-/// assignment window of every region, else 0.0. One nanowire's lane rows:
-/// region j of lane t at vt_lanes_row[j * lane_stride + t]; `nominal` and
-/// `low_guard` hold the nanowire's M window centers and lower guards
-/// (-window_half_width, or -infinity where digit 0 exempts the lower
-/// bound). Same running-min margin shape as the conduction kernels, and
-/// dispatched through the same per-ISA tables. `margin` must hold `lanes`
-/// doubles. Returns true when any lane passes. Requires regions >= 1 and
-/// lanes >= 1.
-bool window_margin_block(const double* vt_lanes_row, std::size_t lane_stride,
-                         std::size_t lanes, const double* nominal,
-                         const double* low_guard, double window_half_width,
-                         std::size_t regions, double* margin, double* out);
+/// Classify kernel of the window criterion, on the same realization: bit b
+/// of masks[w * nanowires + i] is set iff, in lane t = 64 * w + b, every
+/// region j of nanowire i satisfies (window_half_width - delta) > 0 and
+/// (delta - low_guard[k]) > 0 with delta = vt - nominal[k]. low_guard holds
+/// -window_half_width, or -infinity where digit 0 exempts the lower bound.
+/// Bits of lanes >= `lanes` are zero. Requires nanowires, regions and
+/// lanes >= 1 and lane_stride >= lanes.
+void window_masks(const double* deviates, std::size_t lane_stride,
+                  std::size_t lanes, std::size_t nanowires,
+                  std::size_t regions, const double* nominal,
+                  const double* noise_scale, double sigma,
+                  const double* low_guard, double window_half_width,
+                  std::uint64_t* masks);
+
+/// The conduction-mask words each nanowire's own address selects, for
+/// addressable_masks: row r (regions entries) lists j * radix + a[j] for
+/// every region j of pattern row a = r, the regions with lower digits
+/// first. Under a low digit's drive a region of any other nanowire with a
+/// higher digit blocks, so an impostor's AND almost always dies on its
+/// first words in this order.
+std::vector<std::uint32_t> address_selectors(
+    const matrix<codes::digit>& pattern, unsigned radix);
+
+/// The operational criterion for one contact group, on one word of
+/// conduction masks (`plane`, laid out as conduction_masks writes plane w:
+/// plane[(r * regions + j) * radix + d]). `selectors` comes from
+/// address_selectors. For each listed member r, live[r] enters as the
+/// lanes to decide and leaves as those in which r conducts under its own
+/// address while no other member does. Every member vetoes, whatever its
+/// own live word, so discarded and defective nanowires still act as
+/// impostors.
+void addressable_masks(const std::uint64_t* plane,
+                       const std::uint32_t* selectors, std::size_t regions,
+                       unsigned radix, const std::size_t* members,
+                       std::size_t member_count, std::uint64_t* live);
 
 /// Mesowire voltages driving the address of word w.
 std::vector<double> drive_pattern(const codes::code_word& w,

@@ -1,4 +1,4 @@
-// AVX2 instantiation of the blocked margin kernels: compiled with -mavx2
+// AVX2 instantiation of the classify kernels: compiled with -mavx2
 // when the compiler supports it (CMake adds the flag per-file), a stub
 // otherwise. Only the kernels behind the table pointers execute AVX2
 // instructions; the getter itself must stay runnable on any CPU.

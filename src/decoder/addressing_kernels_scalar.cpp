@@ -1,4 +1,4 @@
-// Scalar instantiation of the blocked margin kernels: compiled with the
+// Scalar instantiation of the classify kernels: compiled with the
 // auto-vectorizer disabled (-fno-tree-vectorize) so it is the genuinely
 // scalar oracle every wider path is compared against.
 #include "decoder/addressing_kernels.h"

@@ -1,12 +1,12 @@
 // Runtime CPU feature detection and SIMD dispatch-path selection.
 //
-// The hot kernels of the blocked Monte-Carlo engine -- the margin sweeps in
-// decoder/addressing and the bulk deviate conversions in util/rng -- are
+// The hot kernels of the blocked Monte-Carlo engine -- the classify kernels
+// in decoder/addressing and the bulk deviate conversions in util/rng -- are
 // compiled several times, once per target ISA (scalar / AVX2 / AVX-512),
 // into per-path function-pointer tables. One binary carries every
 // path the compiler could build; a cpuid probe picks the widest one the
 // running CPU supports, once, at first use. Every path performs the same
-// IEEE operations per lane (sub, min, ordered compares, blends, one-rounding
+// IEEE operations per lane (mul, add, sub, ordered compares, one-rounding
 // u64->double conversion), so results are bit-identical whichever path runs
 // -- selection is a pure performance decision, never a results decision.
 //

@@ -1,7 +1,8 @@
 #include "yield/trial_context.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "decoder/addressing.h"
@@ -26,13 +27,19 @@ trial_context::trial_context(const decoder::decoder_design& design,
       plan_(plan),
       nanowires_(design.nanowire_count()),
       regions_(design.region_count()),
-      window_half_width_(design.levels().window_half_width()) {
+      window_half_width_(design.levels().window_half_width()),
+      selectors_(decoder::address_selectors(design.pattern(),
+                                            design.code().radix)) {
   NWDEC_EXPECTS(plan.nanowire_count == design.nanowire_count(),
                 "plan and design must describe the same half cave");
 
   const matrix<codes::digit>& pattern = design_.pattern();
   const matrix<std::size_t>& dose_counts = design_.dose_counts();
   const device::vt_levels& levels = design_.levels();
+  drive_levels_.resize(levels.radix());
+  for (unsigned d = 0; d < levels.radix(); ++d) {
+    drive_levels_[d] = levels.drive_voltage(static_cast<codes::digit>(d));
+  }
   drive_table_.resize(nanowires_ * regions_);
   nominal_vt_.resize(nanowires_ * regions_);
   noise_scale_.resize(nanowires_ * regions_);
@@ -158,121 +165,118 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
                                     std::uint32_t* good) const {
   NWDEC_EXPECTS(count >= 1, "a trial block needs at least one trial");
   const std::size_t cells = nanowires_ * regions_;
-  // Lane rows padded to 64-byte multiples so every region row of the slab
-  // starts cache-line aligned; the kernels still sweep `count` lanes only.
+  const unsigned radix = design_.code().radix;
+  // Lane rows padded to 64-byte multiples so every cell row of the slab
+  // starts cache-line aligned; the kernels still read `count` lanes only.
   const std::size_t lane_stride = (count + 7) & ~std::size_t{7};
+  const std::size_t words = decoder::mask_words(count);
+  const std::size_t mask_size =
+      words * (mode == mc_mode::window ? nanowires_ : cells * radix);
 
-  const auto ensure = [](std::vector<double>& buffer, std::size_t size) {
-    if (buffer.size() < size) buffer.resize(size, 0.0);
-  };
-  ensure(scratch.vt_lanes, cells * lane_stride);
-  ensure(scratch.active_lanes, nanowires_ * lane_stride);
-  ensure(scratch.margins, (nanowires_ + 1) * lane_stride);
-  ensure(scratch.verdicts, nanowires_ * lane_stride);
-  ensure(scratch.good_lanes, lane_stride);
+  if (scratch.deviates.size() < cells * lane_stride) {
+    scratch.deviates.resize(cells * lane_stride);
+  }
+  if (scratch.masks.size() < mask_size) scratch.masks.resize(mask_size);
+  if (scratch.live.size() < words * nanowires_) {
+    scratch.live.resize(words * nanowires_);
+  }
   if (scratch.streams.size() < count) scratch.streams.resize(count);
-  double* slab = scratch.vt_lanes.data();
-  double* active = scratch.active_lanes.data();
-  double* good_lanes = scratch.good_lanes.data();
+  const double* slab = scratch.deviates.data();
+  std::uint64_t* masks = scratch.masks.data();
+  std::uint64_t* live = scratch.live.data();
 
   // Phase 1: the batched deviate pass. Cell k of trial first + t lands at
   // slab[k * lane_stride + t], drawn from that trial's own counter-based
   // stream; streams[t] stays positioned for the trial's tail draws.
-  standard_normal_block(run_key, first, count, cells, slab, lane_stride,
-                        scratch.streams.data());
+  standard_normal_block(run_key, first, count, cells, scratch.deviates.data(),
+                        lane_stride, scratch.streams.data());
 
-  // Phase 2: fused realize transform -- the same per-cell expression as
-  // the scalar path (nominal + sigma * sqrt(nu) * z), swept down each
-  // cell's contiguous lane row.
-  for (std::size_t k = 0; k < cells; ++k) {
-    const double center = nominal_vt_[k];
-    const double scale = sigma_vt * noise_scale_[k];
-    double* lane = slab + k * lane_stride;
-    for (std::size_t t = 0; t < count; ++t) {
-      lane[t] = center + scale * lane[t];
-    }
+  // Phase 2: the classify pass realizes every cell's V_T with the scalar
+  // path's expression (nominal + sigma * sqrt(nu) * z) and records its
+  // comparisons as lane masks: per digit value the lanes that conduct under
+  // that digit's drive, or per nanowire the lanes inside the window.
+  if (mode == mc_mode::window) {
+    decoder::window_masks(slab, lane_stride, count, nanowires_, regions_,
+                          nominal_vt_.data(), noise_scale_.data(), sigma_vt,
+                          window_low_guard_.data(), window_half_width_,
+                          masks);
+  } else {
+    decoder::conduction_masks(slab, lane_stride, count, cells,
+                              nominal_vt_.data(), noise_scale_.data(),
+                              sigma_vt, drive_levels_.data(), radix, masks);
   }
 
   // Phase 3: per-trial tail draws in scalar stream order (defect map, then
-  // one discard Bernoulli per at-risk nanowire), folded into the survival
-  // mask the counting phase multiplies by. The draws come as one bulk
-  // canonical_fill per trial -- the defect uniforms followed by the at-risk
-  // discard uniforms, the identical words the scalar path consumes one
-  // bernoulli at a time -- and the verdicts are branch-free SoA passes
-  // instead of per-nanowire rejection bookkeeping.
+  // one discard Bernoulli per at-risk nanowire) clear the lost lanes from
+  // the survivor masks. The draws come as one bulk canonical_fill per
+  // trial -- the defect uniforms followed by the at-risk discard uniforms,
+  // the identical words the scalar path consumes one bernoulli at a time.
   const std::size_t defect_draws =
       defects != nullptr ? fab::defect_draw_count(nanowires_) : 0;
   const std::size_t tail_draws = defect_draws + at_risk_.size();
   if (defects != nullptr) defects->validate();
-  ensure(scratch.tail_uniforms, tail_draws);
+  if (scratch.tail_uniforms.size() < tail_draws) {
+    scratch.tail_uniforms.resize(tail_draws);
+  }
   if (scratch.disabled.size() < nanowires_) {
     scratch.disabled.resize(nanowires_);
   }
   double* uniforms = scratch.tail_uniforms.data();
   std::uint8_t* disabled = scratch.disabled.data();
-  for (std::size_t k = 0; k < nanowires_ * lane_stride; ++k) {
-    active[k] = 1.0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t lanes = std::min<std::size_t>(64, count - 64 * w);
+    const std::uint64_t all =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    std::fill(live + w * nanowires_, live + (w + 1) * nanowires_, all);
   }
   for (std::size_t t = 0; t < count; ++t) {
+    std::uint64_t* live_word = live + (t / 64) * nanowires_;
+    const std::uint64_t lost = ~(std::uint64_t{1} << (t % 64));
     block_rng& stream = scratch.streams[t];
     if (tail_draws > 0) stream.canonical_fill(uniforms, tail_draws);
     if (defects != nullptr) {
       fab::defect_disables_from_uniforms(nanowires_, *defects, uniforms,
                                          disabled);
       for (std::size_t i = 0; i < nanowires_; ++i) {
-        if (disabled[i]) active[i * lane_stride + t] = 0.0;
+        if (disabled[i]) live_word[i] &= lost;
       }
     }
     for (std::size_t k = 0; k < at_risk_.size(); ++k) {
       const std::size_t i = at_risk_[k];
       if (uniforms[defect_draws + k] < discard_probability_[i]) {
-        active[i * lane_stride + t] = 0.0;
+        live_word[i] &= lost;
       }
     }
   }
 
-  // Phase 4: lane verdicts for every nanowire -- window rows one at a
-  // time, operational groups through the whole-contact-group kernel (one
-  // verdict row per member position, contiguous because the groups
-  // partition the member list) -- then one accumulation pass into per-lane
-  // good counts (exact: every term is 0.0 or 1.0 and the sum is at most N).
-  std::memset(good_lanes, 0, lane_stride * sizeof(double));
-  double* margin = scratch.margins.data();
-  double* verdicts = scratch.verdicts.data();
-  if (mode == mc_mode::window) {
-    for (std::size_t i = 0; i < nanowires_; ++i) {
-      decoder::window_margin_block(
-          slab + i * regions_ * lane_stride, lane_stride, count,
-          nominal_vt_.data() + i * regions_,
-          window_low_guard_.data() + i * regions_, window_half_width_,
-          regions_, margin, verdicts + i * lane_stride);
-    }
-    for (std::size_t i = 0; i < nanowires_; ++i) {
-      const double* survivors = active + i * lane_stride;
-      const double* verdict = verdicts + i * lane_stride;
-      for (std::size_t t = 0; t < count; ++t) {
-        good_lanes[t] += survivors[t] * verdict[t];
-      }
-    }
-  } else {
-    const std::size_t groups = member_offsets_.size() - 1;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t begin = member_offsets_[g];
-      decoder::addressable_group_block(
-          drive_table_.data(), slab, lane_stride, regions_, count,
-          members_.data() + begin, member_offsets_[g + 1] - begin, margin,
-          verdicts + begin * lane_stride, lane_stride);
-    }
-    for (std::size_t k = 0; k < nanowires_; ++k) {
-      const double* survivors = active + members_[k] * lane_stride;
-      const double* verdict = verdicts + k * lane_stride;
-      for (std::size_t t = 0; t < count; ++t) {
-        good_lanes[t] += survivors[t] * verdict[t];
+  // Phase 4: narrow the survivors to the addressable lanes -- inside the
+  // window, or, per contact group, conducting under the own address while
+  // every other member blocks -- then count each lane's set bits.
+  const std::size_t groups = member_offsets_.size() - 1;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t* live_word = live + w * nanowires_;
+    if (mode == mc_mode::window) {
+      const std::uint64_t* inside = masks + w * nanowires_;
+      for (std::size_t i = 0; i < nanowires_; ++i) live_word[i] &= inside[i];
+    } else {
+      const std::uint64_t* plane = masks + w * cells * radix;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const std::size_t begin = member_offsets_[g];
+        decoder::addressable_masks(plane, selectors_.data(), regions_, radix,
+                                   members_.data() + begin,
+                                   member_offsets_[g + 1] - begin, live_word);
       }
     }
   }
-  for (std::size_t t = 0; t < count; ++t) {
-    good[t] = static_cast<std::uint32_t>(good_lanes[t]);
+  std::fill(good, good + count, 0U);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint32_t* good_word = good + 64 * w;
+    for (std::size_t i = 0; i < nanowires_; ++i) {
+      for (std::uint64_t bits = live[w * nanowires_ + i]; bits != 0;
+           bits &= bits - 1) {
+        ++good_word[std::countr_zero(bits)];
+      }
+    }
   }
 }
 

@@ -9,7 +9,8 @@
 // trial_context hoists everything that depends only on the *design* out of
 // the trial:
 //   * a flat row-major drive-voltage table (row i = the mesowire voltages
-//     driving nanowire i's own address),
+//     driving nanowire i's own address) and the drive voltage of each
+//     digit value,
 //   * a flat nominal-V_T table (the window criterion's reference levels),
 //   * a flat noise-scale table sqrt(nu(i,j)) from the dose-count matrix:
 //     region (i,j) receives nu(i,j) independent N(0, sigma) dose
@@ -22,6 +23,14 @@
 // trial_scratch, so the inner loop performs no heap allocation and is safe
 // to run from many threads at once (the context is immutable after
 // construction; each worker owns its scratch).
+//
+// run_trial_block decides a block of trials at once on 64-bit lane masks:
+// one deviate pass fills a lane-major slab, one dispatched classify pass
+// (decoder::conduction_masks, or decoder::window_masks for the window
+// criterion) realizes every cell's V_T and records its comparisons as
+// masks, and the operational criterion runs per contact group as word ANDs
+// (decoder::addressable_masks). run_trial stays the per-trial oracle the
+// blocked path matches count for count.
 #pragma once
 
 #include <cstddef>
@@ -53,26 +62,26 @@ mc_mode parse_mc_mode(const std::string& name);
 
 /// Reusable per-thread buffers for run_trial and run_trial_block;
 /// allocation-free after the first trial (or block) warms them to full
-/// size. The blocked members are structure-of-arrays slabs: `vt_lanes`
-/// holds the realized V_T of a whole trial block, cell (i, j) of trial t
-/// at vt_lanes[(i * regions + j) * lane_stride + t], so one drive row can
-/// sweep every trial lane of a nanowire with contiguous, vectorizable
-/// loads; `active_lanes` is the per-(nanowire, trial) survival mask (1.0
-/// when neither discarded nor defective -- a multiplication-ready lane
-/// mask); `streams` carries each trial's generator from the deviate fill
-/// to its tail draws.
+/// size. `deviates` is a structure-of-arrays slab holding a whole trial
+/// block's standard normals, cell (i, j) of trial t at
+/// deviates[(i * regions + j) * lane_stride + t], so a cell's lanes are
+/// contiguous for the classify kernels. The verdicts are 64-bit lane masks,
+/// word w covering trials 64w .. 64w + 63 of the block: `masks` holds the
+/// classify kernel's output (conduction masks, words x cells x radix, or
+/// window verdicts, words x nanowires), and `live` the per-(word,
+/// nanowire) survivors -- neither discarded nor defective -- which the
+/// criterion then narrows to the addressable lanes. `streams` carries each
+/// trial's generator from the deviate fill to its tail draws.
 struct trial_scratch {
   matrix<double> realized_vt;
   fab::defect_map defects;
 
-  std::vector<double> vt_lanes;       ///< cells x lane_stride slab
-  std::vector<double> active_lanes;   ///< nanowires x lane_stride
-  std::vector<double> margins;        ///< (nanowires + 1) x lane_stride
-  std::vector<double> verdicts;       ///< nanowires x lane_stride lane masks
-  std::vector<double> good_lanes;     ///< per-lane addressable counts
-  std::vector<block_rng> streams;     ///< one per trial lane
-  std::vector<double> tail_uniforms;  ///< one trial's bulk tail draws
-  std::vector<std::uint8_t> disabled; ///< per-nanowire defect verdicts
+  std::vector<double> deviates;        ///< cells x lane_stride slab
+  std::vector<std::uint64_t> masks;    ///< classify kernel output
+  std::vector<std::uint64_t> live;     ///< words x nanowires lane masks
+  std::vector<block_rng> streams;      ///< one per trial lane
+  std::vector<double> tail_uniforms;   ///< one trial's bulk tail draws
+  std::vector<std::uint8_t> disabled;  ///< per-nanowire defect verdicts
 };
 
 /// Immutable precomputed view of one (design, contact plan) pair, shared by
@@ -112,12 +121,14 @@ class trial_context {
   /// trial first + t's addressable count into good[t]. Bit-identical to
   /// `count` scalar run_trial calls for every count: the batched generator
   /// (standard_normal_block) reproduces each trial's deviates and tail
-  /// draws draw for draw, the V_T transform applies the same expression per
-  /// cell, and the lane kernels decide the same comparisons. The speedup
-  /// comes from structure (one deviate pass straight into a
-  /// structure-of-arrays slab, conductance margins swept across all trial
-  /// lanes of a nanowire at once, branch-free bodies), not from changing
-  /// any draw or any verdict.
+  /// draws draw for draw, the classify kernel realizes each V_T with the
+  /// same expression and makes the same comparison per lane, and a
+  /// nanowire's verdict is the AND of its regions' comparisons, which is
+  /// what the scalar early exits decide. The speedup comes from structure
+  /// (one deviate pass straight into a structure-of-arrays slab, 64 trial
+  /// lanes per mask word, the contact-group rule as word ANDs), not from
+  /// changing any draw or any verdict. Any count works: a block wider than
+  /// 64 trials takes ceil(count / 64) mask words.
   void run_trial_block(std::uint64_t run_key, std::uint64_t first,
                        std::size_t count, trial_scratch& scratch, mc_mode mode,
                        double sigma_vt, const fab::defect_params* defects,
@@ -135,11 +146,12 @@ class trial_context {
   double window_half_width_ = 0.0;
 
   std::vector<double> drive_table_;    ///< N x M, row i = drive of address i
+  std::vector<double> drive_levels_;   ///< drive voltage per digit value
   std::vector<double> nominal_vt_;     ///< N x M nominal levels
   std::vector<double> noise_scale_;    ///< N x M, sqrt(nu(i,j))
   /// N x M lower window guards: -window_half_width where the digit has
   /// blocking duty, -infinity where digit 0 exempts the lower bound (the
-  /// guard then never binds), so the blocked window kernel needs no digit
+  /// guard then never binds), so the window classify kernel needs no digit
   /// branch in the lane body.
   std::vector<double> window_low_guard_;
   std::vector<double> discard_probability_;  ///< per nanowire
@@ -148,6 +160,9 @@ class trial_context {
   /// kernel can bulk-draw one uniform per entry and stay draw-for-draw
   /// identical.
   std::vector<std::size_t> at_risk_;
+  /// N x M conduction-mask words each nanowire's own address selects
+  /// (decoder::address_selectors).
+  std::vector<std::uint32_t> selectors_;
   std::vector<std::size_t> group_of_;        ///< per nanowire
   std::vector<std::size_t> member_offsets_;  ///< group g: [offsets[g], offsets[g+1])
   std::vector<std::size_t> members_;         ///< member indices, grouped

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <tuple>
@@ -165,84 +166,193 @@ TEST(AddressTableTest, NonAntichainInputRejected) {
   EXPECT_THROW(address_table({}), invalid_argument_error);
 }
 
-// --- blocked span kernels: every lane verdict must equal the scalar
-// voltage rule on that lane's row.
+// --- classify kernels and the contact-group rule on lane masks: every
+// lane bit must equal the scalar rule on that lane's realized row.
 
-// Random structure-of-arrays slab: region j of nanowire r, lane t at
-// slab[(r * regions + j) * lane_stride + t].
+// The bits of the first n lanes of a word (n <= 64).
+std::uint64_t first_lanes(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+// A random trial block: cell k = r * regions + j of lane t holds the
+// deviate deviates[k * lane_stride + t] and realizes
+// vt = nominal[k] + (sigma * noise_scale[k]) * z, the engine's expression.
+// Row r is addressed by pattern row r (digits < radix); digit d drives
+// drive[d].
 struct lane_fixture {
   std::size_t rows, regions, lanes, lane_stride;
-  std::vector<double> slab;
-  std::vector<double> drives;  ///< one drive row per nanowire
+  unsigned radix;
+  double sigma = 0.05;
+  std::vector<double> deviates, nominal, noise_scale, drive;
+  std::vector<codes::digit> pattern;
 
   lane_fixture(std::size_t rows, std::size_t regions, std::size_t lanes,
-               std::uint64_t seed, std::size_t extra_stride = 0)
+               std::uint64_t seed, unsigned radix = 2,
+               std::size_t extra_stride = 0)
       : rows(rows),
         regions(regions),
         lanes(lanes),
         lane_stride(lanes + extra_stride),
-        slab(rows * regions * lane_stride),
-        drives(rows * regions) {
+        radix(radix),
+        deviates(rows * regions * lane_stride),
+        nominal(rows * regions),
+        noise_scale(rows * regions),
+        drive(radix),
+        pattern(rows * regions) {
     rng random(seed);
-    // Voltages near each other so every comparison outcome is exercised.
-    for (double& v : slab) v = random.uniform(0.0, 1.0);
-    for (double& v : drives) v = random.uniform(0.0, 1.0);
+    // Thresholds and drives overlap so every comparison outcome occurs.
+    for (double& z : deviates) z = random.uniform(-3.0, 3.0);
+    for (double& v : nominal) v = random.uniform(0.0, 1.0);
+    for (double& v : noise_scale) v = random.uniform(0.5, 2.5);
+    for (double& v : drive) v = random.uniform(0.0, 1.0);
+    for (codes::digit& d : pattern) {
+      d = static_cast<codes::digit>(random.engine()() % radix);
+    }
+  }
+
+  std::size_t cells() const { return rows * regions; }
+  std::size_t words() const { return mask_words(lanes); }
+
+  double vt(std::size_t row, std::size_t j, std::size_t t) const {
+    const std::size_t k = row * regions + j;
+    return nominal[k] + (sigma * noise_scale[k]) * deviates[k * lane_stride + t];
   }
 
   std::vector<double> lane_row(std::size_t row, std::size_t t) const {
     std::vector<double> out(regions);
+    for (std::size_t j = 0; j < regions; ++j) out[j] = vt(row, j, t);
+    return out;
+  }
+
+  // The mesowire voltages of row `address`'s own address.
+  std::vector<double> drive_row(std::size_t address) const {
+    std::vector<double> out(regions);
     for (std::size_t j = 0; j < regions; ++j) {
-      out[j] = slab[(row * regions + j) * lane_stride + t];
+      out[j] = drive[pattern[address * regions + j]];
     }
     return out;
   }
 
-  const double* drive(std::size_t row) const {
-    return drives.data() + row * regions;
+  // Scalar operational rule among `members`: `self` conducts under its
+  // address in lane t and no other member does.
+  bool addressable(std::size_t self, const std::vector<std::size_t>& members,
+                   std::size_t t) const {
+    const std::vector<double> gate = drive_row(self);
+    if (!conducts(lane_row(self, t).data(), gate.data(), regions)) {
+      return false;
+    }
+    for (const std::size_t other : members) {
+      if (other == self) continue;
+      if (conducts(lane_row(other, t).data(), gate.data(), regions)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<std::uint64_t> conduction() const {
+    std::vector<std::uint64_t> masks(words() * cells() * radix, 0xdead);
+    conduction_masks(deviates.data(), lane_stride, lanes, cells(),
+                     nominal.data(), noise_scale.data(), sigma, drive.data(),
+                     radix, masks.data());
+    return masks;
+  }
+
+  // Runs addressable_masks on mask word w of every row in `live`.
+  void decide(const std::vector<std::uint64_t>& masks, std::size_t w,
+              const std::vector<std::size_t>& members,
+              std::uint64_t* live) const {
+    matrix<codes::digit> rows_digits(rows, regions);
+    std::copy(pattern.begin(), pattern.end(), rows_digits.row_ptr(0));
+    const std::vector<std::uint32_t> selectors =
+        address_selectors(rows_digits, radix);
+    addressable_masks(masks.data() + w * cells() * radix, selectors.data(),
+                      regions, radix, members.data(), members.size(), live);
   }
 };
 
+bool lane_bit(std::uint64_t word, std::size_t t) {
+  return ((word >> (t % 64)) & 1) != 0;
+}
+
 TEST(ConductsBlockTest, MatchesScalarRuleLaneByLane) {
-  for (const std::size_t regions : {1UL, 5UL}) {
-    for (const std::size_t lanes : {1UL, 3UL, 8UL, 33UL}) {
-      lane_fixture f(2, regions, lanes, 101 + regions * lanes, 3);
-      std::vector<std::uint8_t> out(lanes, 2);
-      const bool any = conducts_block(f.drive(1), f.slab.data() +
-                                          1 * regions * f.lane_stride,
-                                      f.lane_stride, regions, lanes,
-                                      out.data());
-      bool expected_any = false;
-      for (std::size_t t = 0; t < lanes; ++t) {
-        const std::vector<double> row = f.lane_row(1, t);
-        const bool expected =
-            conducts(row.data(), f.drive(1), regions);
-        EXPECT_EQ(out[t] != 0, expected) << "lane " << t;
-        expected_any = expected_any || expected;
+  // conduction_masks: every (cell, digit) bit is the scalar comparison,
+  // the masks a row's own address selects AND to the scalar voltage rule,
+  // and no bit is set past the block's last lane.
+  for (const unsigned radix : {2u, 3u}) {
+    for (const std::size_t regions : {1UL, 5UL}) {
+      for (const std::size_t lanes :
+           {1UL, 3UL, 8UL, 33UL, 63UL, 64UL, 65UL, 128UL}) {
+        lane_fixture f(2, regions, lanes, 101 + regions * lanes + radix,
+                       radix, 3);
+        const std::vector<std::uint64_t> masks = f.conduction();
+        const std::size_t plane = f.cells() * radix;
+        for (std::size_t t = 0; t < lanes; ++t) {
+          const std::uint64_t* word = masks.data() + (t / 64) * plane;
+          for (std::size_t k = 0; k < f.cells(); ++k) {
+            for (unsigned d = 0; d < radix; ++d) {
+              EXPECT_EQ(lane_bit(word[k * radix + d], t),
+                        f.drive[d] - f.vt(k / regions, k % regions, t) > 0.0)
+                  << "cell " << k << " digit " << d << " lane " << t;
+            }
+          }
+          bool selected = true;
+          for (std::size_t j = 0; j < regions; ++j) {
+            const codes::digit d = f.pattern[1 * regions + j];
+            selected = selected &&
+                       lane_bit(word[(1 * regions + j) * radix + d], t);
+          }
+          const std::vector<double> gate = f.drive_row(1);
+          EXPECT_EQ(selected,
+                    conducts(f.lane_row(1, t).data(), gate.data(), regions))
+              << "lanes " << lanes << " lane " << t;
+        }
+        for (std::size_t w = 0; w < f.words(); ++w) {
+          const std::uint64_t past = ~first_lanes(lanes - 64 * w);
+          for (std::size_t k = 0; k < plane; ++k) {
+            EXPECT_EQ(masks[w * plane + k] & past, 0u)
+                << "lanes " << lanes << " word " << w;
+          }
+        }
       }
-      EXPECT_EQ(any, expected_any);
     }
   }
 }
 
 TEST(AddressableBlockTest, MatchesScalarGroupRule) {
-  const std::size_t rows = 6, regions = 4, lanes = 17;
-  lane_fixture f(rows, regions, lanes, 7);
+  // Every member's verdict is the scalar operational rule, restricted to
+  // the lanes it entered with; members entering dead still veto.
+  const std::size_t rows = 6, regions = 4;
   const std::vector<std::size_t> members = {0, 1, 2, 3, 4, 5};
-  for (std::size_t self = 0; self < rows; ++self) {
-    std::vector<double> scratch(2 * lanes), out(lanes, -1.0);
-    addressable_block(f.drive(self), f.slab.data(), f.lane_stride, regions,
-                      lanes, self, members.data(), members.size(),
-                      scratch.data(), out.data());
-    for (std::size_t t = 0; t < lanes; ++t) {
-      const std::vector<double> own = f.lane_row(self, t);
-      bool expected = conducts(own.data(), f.drive(self), regions);
-      for (const std::size_t other : members) {
-        if (other == self || !expected) continue;
-        const std::vector<double> row = f.lane_row(other, t);
-        if (conducts(row.data(), f.drive(self), regions)) expected = false;
+  for (const unsigned radix : {2u, 3u}) {
+    for (const std::size_t lanes : {17UL, 65UL}) {
+      lane_fixture f(rows, regions, lanes, 7 + radix, radix);
+      const std::vector<std::uint64_t> masks = f.conduction();
+      rng random(lanes);
+      for (std::size_t w = 0; w < f.words(); ++w) {
+        const std::uint64_t all = first_lanes(lanes - 64 * w);
+        for (const bool thinned : {false, true}) {
+          std::vector<std::uint64_t> entered(rows, all);
+          // Thinned: some rows enter dead, the rest with random survivors.
+          if (thinned) {
+            for (std::uint64_t& word : entered) {
+              word = random.uniform() < 0.3 ? 0 : random.engine()() & all;
+            }
+          }
+          std::vector<std::uint64_t> live = entered;
+          f.decide(masks, w, members, live.data());
+          for (std::size_t self = 0; self < rows; ++self) {
+            for (std::size_t t = 64 * w; t < std::min(lanes, 64 * w + 64);
+                 ++t) {
+              const bool expected =
+                  lane_bit(entered[self], t) && f.addressable(self, members, t);
+              EXPECT_EQ(lane_bit(live[self], t), expected)
+                  << "radix " << radix << " self " << self << " lane " << t;
+            }
+            EXPECT_EQ(live[self] & ~all, 0u);
+          }
+        }
       }
-      EXPECT_EQ(out[t], expected ? 1.0 : 0.0)
-          << "self " << self << " lane " << t;
     }
   }
 }
@@ -250,44 +360,45 @@ TEST(AddressableBlockTest, MatchesScalarGroupRule) {
 TEST(AddressableBlockTest, EmptyAndSelfOnlyGroups) {
   const std::size_t regions = 3, lanes = 5;
   lane_fixture f(2, regions, lanes, 99);
-  std::vector<double> scratch(2 * lanes), no_members(lanes), self_only(lanes);
-  // No members at all: the verdict is the bare self conduction.
-  addressable_block(f.drive(0), f.slab.data(), f.lane_stride, regions, lanes,
-                    0, nullptr, 0, scratch.data(), no_members.data());
-  // A group whose only member is the addressee behaves identically.
-  const std::size_t self_member[] = {0};
-  std::vector<double> group_scratch(2 * lanes);
-  addressable_block(f.drive(0), f.slab.data(), f.lane_stride, regions, lanes,
-                    0, self_member, 1, group_scratch.data(),
-                    self_only.data());
+  const std::vector<std::uint64_t> masks = f.conduction();
+  // No members at all: nothing is decided, every live word stays as is.
+  std::vector<std::uint64_t> untouched(2, first_lanes(lanes));
+  f.decide(masks, 0, {}, untouched.data());
+  EXPECT_EQ(untouched, std::vector<std::uint64_t>(2, first_lanes(lanes)));
+  // A group whose only member is the addressee: the verdict is the bare
+  // self conduction, and the other row is not touched.
+  std::vector<std::uint64_t> self_only(2, first_lanes(lanes));
+  f.decide(masks, 0, {0}, self_only.data());
+  const std::vector<double> gate = f.drive_row(0);
   for (std::size_t t = 0; t < lanes; ++t) {
-    const std::vector<double> row = f.lane_row(0, t);
-    const double expected =
-        conducts(row.data(), f.drive(0), regions) ? 1.0 : 0.0;
-    EXPECT_EQ(no_members[t], expected) << "lane " << t;
-    EXPECT_EQ(self_only[t], expected) << "lane " << t;
+    EXPECT_EQ(lane_bit(self_only[0], t),
+              conducts(f.lane_row(0, t).data(), gate.data(), regions))
+        << "lane " << t;
   }
+  EXPECT_EQ(self_only[1], first_lanes(lanes));
 }
 
 TEST(AddressableGroupBlockTest, MatchesPerMemberBlocks) {
+  // One pass over the whole group equals one pass per member (only that
+  // member entering alive), and both equal the scalar rule. The group
+  // skips row 3: member lists need not cover every row, and a row outside
+  // the group neither vetoes nor is decided.
   for (const std::size_t regions : {1UL, 4UL}) {
     const std::size_t rows = 7, lanes = 9;
     lane_fixture f(rows, regions, lanes, 1234 + regions);
-    // The group skips row 3: member lists need not cover every row.
+    const std::vector<std::uint64_t> masks = f.conduction();
     const std::vector<std::size_t> members = {0, 1, 2, 4, 5, 6};
-    std::vector<double> group_scratch((members.size() + 1) * lanes);
-    std::vector<double> group_out(members.size() * lanes, -1.0);
-    addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                            regions, lanes, members.data(), members.size(),
-                            group_scratch.data(), group_out.data(), lanes);
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      std::vector<double> scratch(2 * lanes), expected(lanes);
-      addressable_block(f.drive(members[k]), f.slab.data(), f.lane_stride,
-                        regions, lanes, members[k], members.data(),
-                        members.size(), scratch.data(), expected.data());
+    std::vector<std::uint64_t> group(rows, first_lanes(lanes));
+    f.decide(masks, 0, members, group.data());
+    EXPECT_EQ(group[3], first_lanes(lanes));
+    for (const std::size_t self : members) {
+      std::vector<std::uint64_t> single(rows, 0);
+      single[self] = first_lanes(lanes);
+      f.decide(masks, 0, members, single.data());
+      EXPECT_EQ(single[self], group[self]) << "member " << self;
       for (std::size_t t = 0; t < lanes; ++t) {
-        EXPECT_EQ(group_out[k * lanes + t], expected[t])
-            << "member " << k << " lane " << t;
+        EXPECT_EQ(lane_bit(group[self], t), f.addressable(self, members, t))
+            << "member " << self << " lane " << t;
       }
     }
   }
@@ -297,108 +408,100 @@ TEST(AddressableGroupBlockTest, AllBlockedGroupZeroesEveryLane) {
   const std::size_t rows = 3, regions = 2, lanes = 6;
   lane_fixture f(rows, regions, lanes, 4);
   // Drive far below every threshold: nothing conducts anywhere.
-  for (double& v : f.drives) v = -10.0;
-  const std::vector<std::size_t> members = {0, 1, 2};
-  std::vector<double> scratch((members.size() + 1) * lanes);
-  std::vector<double> out(members.size() * lanes, -1.0);
-  addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                          regions, lanes, members.data(), members.size(),
-                          scratch.data(), out.data(), lanes);
-  for (const double verdict : out) EXPECT_EQ(verdict, 0.0);
+  for (double& v : f.drive) v = -10.0;
+  const std::vector<std::uint64_t> masks = f.conduction();
+  for (const std::uint64_t word : masks) EXPECT_EQ(word, 0u);
+  std::vector<std::uint64_t> live(rows, first_lanes(lanes));
+  f.decide(masks, 0, {0, 1, 2}, live.data());
+  for (const std::uint64_t word : live) EXPECT_EQ(word, 0u);
 }
 
 TEST(WindowMarginBlockTest, MatchesScalarWindowRule) {
-  // One nanowire's slab rows against its nominal levels: the lane verdict
-  // must equal the scalar two-sided check, with the -infinity low guard
-  // exempting digit-0 regions from the lower bound.
-  const std::size_t regions = 4, lanes = 13, lane_stride = 16;
+  // window_masks: a nanowire's lane bit equals the scalar two-sided check
+  // on its realized row, with the -infinity low guard exempting digit-0
+  // regions from the lower bound; no bit is set past the last lane.
+  const std::size_t rows = 2, regions = 4;
   const double whw = 0.05;
-  rng random(321);
-  std::vector<double> slab(regions * lane_stride);
-  std::vector<double> nominal(regions);
-  std::vector<double> low_guard(regions);
-  for (std::size_t j = 0; j < regions; ++j) {
-    nominal[j] = random.uniform(0.0, 1.0);
+  for (const std::size_t lanes : {13UL, 64UL, 65UL, 128UL}) {
+    lane_fixture f(rows, regions, lanes, 321 + lanes, 2, 3);
+    // Deltas straddling both bounds so every outcome is exercised.
+    for (double& v : f.noise_scale) v = 1.0;
+    for (double& z : f.deviates) z *= 0.7;
+    std::vector<double> low_guard(rows * regions, -whw);
     // Region 2 plays digit 0: lower bound exempt.
-    low_guard[j] =
-        j == 2 ? -std::numeric_limits<double>::infinity() : -whw;
-    for (std::size_t t = 0; t < lanes; ++t) {
-      // Deltas straddling both bounds so every outcome is exercised.
-      slab[j * lane_stride + t] = nominal[j] + random.uniform(-0.1, 0.1);
+    for (std::size_t r = 0; r < rows; ++r) {
+      low_guard[r * regions + 2] = -std::numeric_limits<double>::infinity();
     }
-  }
-  std::vector<double> margin(lane_stride), out(lane_stride, -1.0);
-  window_margin_block(slab.data(), lane_stride, lanes, nominal.data(),
-                      low_guard.data(), whw, regions, margin.data(),
-                      out.data());
-  for (std::size_t t = 0; t < lanes; ++t) {
-    bool expected = true;
-    for (std::size_t j = 0; j < regions; ++j) {
-      const double delta = slab[j * lane_stride + t] - nominal[j];
-      if (delta >= whw) expected = false;
-      if (j != 2 && delta <= -whw) expected = false;
+    std::vector<std::uint64_t> masks(f.words() * rows, 0xdead);
+    window_masks(f.deviates.data(), f.lane_stride, lanes, rows, regions,
+                 f.nominal.data(), f.noise_scale.data(), f.sigma,
+                 low_guard.data(), whw, masks.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t t = 0; t < lanes; ++t) {
+        bool expected = true;
+        for (std::size_t j = 0; j < regions; ++j) {
+          const double delta = f.vt(r, j, t) - f.nominal[r * regions + j];
+          if (delta >= whw) expected = false;
+          if (j != 2 && delta <= -whw) expected = false;
+        }
+        EXPECT_EQ(lane_bit(masks[(t / 64) * rows + r], t), expected)
+            << "lanes " << lanes << " row " << r << " lane " << t;
+      }
+      for (std::size_t w = 0; w < f.words(); ++w) {
+        EXPECT_EQ(masks[w * rows + r] & ~first_lanes(lanes - 64 * w), 0u);
+      }
     }
-    EXPECT_EQ(out[t], expected ? 1.0 : 0.0) << "lane " << t;
   }
 }
 
 TEST(BlockKernelDispatchTest, EveryPathBitIdenticalToScalar) {
-  // The margin kernels through every compiled-and-supported dispatch path
-  // must produce byte-identical verdicts and margins. scalar is the oracle.
+  // The classify kernels through every compiled-and-supported dispatch
+  // path must produce byte-identical masks, and so identical group
+  // verdicts. scalar is the oracle.
   struct path_guard {
     cpu::simd_path saved = cpu::active_path();
     ~path_guard() { cpu::force_path(saved); }
   } restore;
 
-  const std::size_t rows = 6, regions = 3, lanes = 33;
-  lane_fixture f(rows, regions, lanes, 2026, 7);
+  const std::size_t rows = 6, regions = 3;
   const std::vector<std::size_t> members = {0, 1, 2, 3, 4, 5};
   const double whw = 0.04;
-  std::vector<double> low_guard(regions, -whw);
-  low_guard[1] = -std::numeric_limits<double>::infinity();
+  for (const unsigned radix : {2u, 3u}) {
+    for (const std::size_t lanes : {33UL, 65UL}) {
+      lane_fixture f(rows, regions, lanes, 2026 + lanes, radix, 7);
+      std::vector<double> low_guard(rows * regions, -whw);
+      low_guard[1] = -std::numeric_limits<double>::infinity();
 
-  struct outputs {
-    std::vector<std::uint8_t> conducts;
-    bool any = false;
-    std::vector<double> addressable;
-    std::vector<double> group;
-    std::vector<double> window_margin, window_out;
-  };
-  const auto run = [&] {
-    outputs o;
-    o.conducts.assign(lanes, 2);
-    o.any = conducts_block(f.drive(1), f.slab.data() + regions * f.lane_stride,
-                           f.lane_stride, regions, lanes, o.conducts.data());
-    std::vector<double> scratch(2 * lanes);
-    o.addressable.assign(lanes, -1.0);
-    addressable_block(f.drive(2), f.slab.data(), f.lane_stride, regions,
-                      lanes, 2, members.data(), members.size(),
-                      scratch.data(), o.addressable.data());
-    std::vector<double> group_scratch((members.size() + 1) * lanes);
-    o.group.assign(members.size() * lanes, -1.0);
-    addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                            regions, lanes, members.data(), members.size(),
-                            group_scratch.data(), o.group.data(), lanes);
-    o.window_margin.assign(lanes, -1.0);
-    o.window_out.assign(lanes, -1.0);
-    window_margin_block(f.slab.data(), f.lane_stride, lanes, f.drive(0),
-                        low_guard.data(), whw, regions,
-                        o.window_margin.data(), o.window_out.data());
-    return o;
-  };
+      struct outputs {
+        std::vector<std::uint64_t> conduction, window, group;
+      };
+      const auto run = [&] {
+        outputs o;
+        o.conduction = f.conduction();
+        o.window.assign(f.words() * rows, 0xdead);
+        window_masks(f.deviates.data(), f.lane_stride, lanes, rows, regions,
+                     f.nominal.data(), f.noise_scale.data(), f.sigma,
+                     low_guard.data(), whw, o.window.data());
+        for (std::size_t w = 0; w < f.words(); ++w) {
+          std::vector<std::uint64_t> live(rows,
+                                          first_lanes(lanes - 64 * w));
+          f.decide(o.conduction, w, members, live.data());
+          o.group.insert(o.group.end(), live.begin(), live.end());
+        }
+        return o;
+      };
 
-  cpu::force_path(cpu::simd_path::scalar);
-  const outputs oracle = run();
-  for (const cpu::simd_path path : cpu::available_paths()) {
-    cpu::force_path(path);
-    const outputs got = run();
-    const char* name = cpu::simd_path_name(path);
-    ASSERT_EQ(oracle.conducts, got.conducts) << name;
-    EXPECT_EQ(oracle.any, got.any) << name;
-    ASSERT_EQ(oracle.addressable, got.addressable) << name;
-    ASSERT_EQ(oracle.group, got.group) << name;
-    ASSERT_EQ(oracle.window_margin, got.window_margin) << name;
-    ASSERT_EQ(oracle.window_out, got.window_out) << name;
+      cpu::force_path(cpu::simd_path::scalar);
+      const outputs oracle = run();
+      for (const cpu::simd_path path : cpu::available_paths()) {
+        cpu::force_path(path);
+        const outputs got = run();
+        const char* name = cpu::simd_path_name(path);
+        ASSERT_EQ(oracle.conduction, got.conduction) << name;
+        ASSERT_EQ(oracle.window, got.window) << name;
+        ASSERT_EQ(oracle.group, got.group) << name;
+      }
+    }
   }
 }
 
