@@ -20,9 +20,10 @@
 // (reusable buffers and structure-of-arrays slabs), so the hot loop
 // performs no heap allocation. Each block runs through the batched kernel
 // (trial_context::run_trial_block): one counter-based deviate pass fills a
-// lane-major realized-V_T slab for the whole block, and conductance /
-// window verdicts are swept across all trial lanes of a nanowire at once
-// by the branch-free kernels in decoder/addressing. Trial i always
+// lane-major slab for the whole block, one dispatched classify pass in
+// decoder/addressing realizes every cell's V_T and records its comparisons
+// as 64-bit lane masks (one bit per trial), and the criterion is decided
+// on those words -- the contact-group rule as word ANDs. Trial i always
 // consumes the counter-based stream rng::from_counter(run_key, i) --
 // whether a block kernel or the scalar path (block_size 1, kept as the
 // equivalence oracle) runs it -- and its good count lands in slot i of a
@@ -56,10 +57,11 @@ struct mc_yield_result {
 };
 
 /// Default trial-block size of the batched kernel: big enough that the
-/// structure-of-arrays conductance sweeps amortize, small enough that a
-/// block's slabs stay cache-resident for typical designs (bench_mc_engine's
-/// kernel section sweeps the candidates; 16-128 measure within noise of
-/// each other on the Figs. 7/8 design, with 32 the repeatable best).
+/// classify pass and the group rule's word ANDs amortize over many lanes,
+/// small enough that a block's deviate slab (cells x 32 doubles) stays
+/// cache-resident (bench_mc_engine's kernel section sweeps the candidates;
+/// on the Figs. 7/8 design 16-128 measure within noise of each other, and
+/// on one 300-member contact group 32 beats 64 and 128).
 inline constexpr std::size_t mc_default_block_size = 32;
 
 /// Options for the Monte-Carlo engine.

@@ -41,8 +41,8 @@ struct design_case {
 
 std::vector<design_case> dispatch_designs() {
   std::vector<design_case> cases;
-  // Smallest constructible design (margin sweeps collapse to seed + fold)
-  // and the paper's mid-size gray decoder.
+  // Smallest constructible design (two regions per verdict) and the
+  // paper's mid-size gray decoder.
   cases.push_back({"hot-2x2-N2", codes::make_code(codes::code_type::hot, 2, 2),
                    2});
   cases.push_back({"gray-2x8-N20",
@@ -96,9 +96,9 @@ TEST(SimdDispatchTest, EveryPathBitIdenticalAcrossTheMatrix) {
 }
 
 TEST(SimdDispatchTest, ScalarOracleItselfIsPathInvariant) {
-  // block_size 1 never touches the lane kernels, but its deviates ride the
-  // same dispatched bulk conversions -- so even the oracle must not move
-  // when the path does.
+  // block_size 1 never touches the classify kernels, but its deviates ride
+  // the same dispatched bulk conversions -- so even the oracle must not
+  // move when the path does.
   path_guard restore;
   const device::technology tech = device::paper_technology();
   const codes::code code = codes::make_code(codes::code_type::gray, 2, 8);
