@@ -67,6 +67,13 @@ constexpr std::size_t mask_words(std::size_t lanes) {
   return (lanes + mask_lanes - 1) / mask_lanes;
 }
 
+/// The bits of the first `lanes` lanes of a mask word (a shift by 64 would
+/// be undefined, so a full word is spelled out).
+constexpr std::uint64_t lane_bits(std::size_t lanes) {
+  return lanes >= mask_lanes ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << lanes) - 1;
+}
+
 /// Classify kernel of the operational criterion: realizes every cell's
 /// threshold in every trial lane and records, per digit value, the lanes in
 /// which the region conducts. Cell k (region j of nanowire i, k = i *

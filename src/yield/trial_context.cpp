@@ -181,15 +181,15 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
     scratch.live.resize(words * nanowires_);
   }
   if (scratch.streams.size() < count) scratch.streams.resize(count);
-  const double* slab = scratch.deviates.data();
+  double* slab = scratch.deviates.data();
   std::uint64_t* masks = scratch.masks.data();
   std::uint64_t* live = scratch.live.data();
 
   // Phase 1: the batched deviate pass. Cell k of trial first + t lands at
   // slab[k * lane_stride + t], drawn from that trial's own counter-based
   // stream; streams[t] stays positioned for the trial's tail draws.
-  standard_normal_block(run_key, first, count, cells, scratch.deviates.data(),
-                        lane_stride, scratch.streams.data());
+  standard_normal_block(run_key, first, count, cells, slab, lane_stride,
+                        scratch.streams.data());
 
   // Phase 2: the classify pass realizes every cell's V_T with the scalar
   // path's expression (nominal + sigma * sqrt(nu) * z) and records its
@@ -224,14 +224,13 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
   double* uniforms = scratch.tail_uniforms.data();
   std::uint8_t* disabled = scratch.disabled.data();
   for (std::size_t w = 0; w < words; ++w) {
-    const std::size_t lanes = std::min<std::size_t>(64, count - 64 * w);
-    const std::uint64_t all =
-        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-    std::fill(live + w * nanowires_, live + (w + 1) * nanowires_, all);
+    std::fill(live + w * nanowires_, live + (w + 1) * nanowires_,
+              decoder::lane_bits(count - decoder::mask_lanes * w));
   }
   for (std::size_t t = 0; t < count; ++t) {
-    std::uint64_t* live_word = live + (t / 64) * nanowires_;
-    const std::uint64_t lost = ~(std::uint64_t{1} << (t % 64));
+    std::uint64_t* live_word = live + (t / decoder::mask_lanes) * nanowires_;
+    const std::uint64_t lost =
+        ~(std::uint64_t{1} << (t % decoder::mask_lanes));
     block_rng& stream = scratch.streams[t];
     if (tail_draws > 0) stream.canonical_fill(uniforms, tail_draws);
     if (defects != nullptr) {
@@ -270,7 +269,7 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
   }
   std::fill(good, good + count, 0U);
   for (std::size_t w = 0; w < words; ++w) {
-    std::uint32_t* good_word = good + 64 * w;
+    std::uint32_t* good_word = good + decoder::mask_lanes * w;
     for (std::size_t i = 0; i < nanowires_; ++i) {
       for (std::uint64_t bits = live[w * nanowires_ + i]; bits != 0;
            bits &= bits - 1) {

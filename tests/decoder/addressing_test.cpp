@@ -169,11 +169,6 @@ TEST(AddressTableTest, NonAntichainInputRejected) {
 // --- classify kernels and the contact-group rule on lane masks: every
 // lane bit must equal the scalar rule on that lane's realized row.
 
-// The bits of the first n lanes of a word (n <= 64).
-std::uint64_t first_lanes(std::size_t n) {
-  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-}
-
 // A random trial block: cell k = r * regions + j of lane t holds the
 // deviate deviates[k * lane_stride + t] and realizes
 // vt = nominal[k] + (sigma * noise_scale[k]) * z, the engine's expression.
@@ -308,7 +303,7 @@ TEST(ConductsBlockTest, MatchesScalarRuleLaneByLane) {
               << "lanes " << lanes << " lane " << t;
         }
         for (std::size_t w = 0; w < f.words(); ++w) {
-          const std::uint64_t past = ~first_lanes(lanes - 64 * w);
+          const std::uint64_t past = ~lane_bits(lanes - 64 * w);
           for (std::size_t k = 0; k < plane; ++k) {
             EXPECT_EQ(masks[w * plane + k] & past, 0u)
                 << "lanes " << lanes << " word " << w;
@@ -330,7 +325,7 @@ TEST(AddressableBlockTest, MatchesScalarGroupRule) {
       const std::vector<std::uint64_t> masks = f.conduction();
       rng random(lanes);
       for (std::size_t w = 0; w < f.words(); ++w) {
-        const std::uint64_t all = first_lanes(lanes - 64 * w);
+        const std::uint64_t all = lane_bits(lanes - 64 * w);
         for (const bool thinned : {false, true}) {
           std::vector<std::uint64_t> entered(rows, all);
           // Thinned: some rows enter dead, the rest with random survivors.
@@ -362,12 +357,12 @@ TEST(AddressableBlockTest, EmptyAndSelfOnlyGroups) {
   lane_fixture f(2, regions, lanes, 99);
   const std::vector<std::uint64_t> masks = f.conduction();
   // No members at all: nothing is decided, every live word stays as is.
-  std::vector<std::uint64_t> untouched(2, first_lanes(lanes));
+  std::vector<std::uint64_t> untouched(2, lane_bits(lanes));
   f.decide(masks, 0, {}, untouched.data());
-  EXPECT_EQ(untouched, std::vector<std::uint64_t>(2, first_lanes(lanes)));
+  EXPECT_EQ(untouched, std::vector<std::uint64_t>(2, lane_bits(lanes)));
   // A group whose only member is the addressee: the verdict is the bare
   // self conduction, and the other row is not touched.
-  std::vector<std::uint64_t> self_only(2, first_lanes(lanes));
+  std::vector<std::uint64_t> self_only(2, lane_bits(lanes));
   f.decide(masks, 0, {0}, self_only.data());
   const std::vector<double> gate = f.drive_row(0);
   for (std::size_t t = 0; t < lanes; ++t) {
@@ -375,7 +370,7 @@ TEST(AddressableBlockTest, EmptyAndSelfOnlyGroups) {
               conducts(f.lane_row(0, t).data(), gate.data(), regions))
         << "lane " << t;
   }
-  EXPECT_EQ(self_only[1], first_lanes(lanes));
+  EXPECT_EQ(self_only[1], lane_bits(lanes));
 }
 
 TEST(AddressableGroupBlockTest, MatchesPerMemberBlocks) {
@@ -388,12 +383,12 @@ TEST(AddressableGroupBlockTest, MatchesPerMemberBlocks) {
     lane_fixture f(rows, regions, lanes, 1234 + regions);
     const std::vector<std::uint64_t> masks = f.conduction();
     const std::vector<std::size_t> members = {0, 1, 2, 4, 5, 6};
-    std::vector<std::uint64_t> group(rows, first_lanes(lanes));
+    std::vector<std::uint64_t> group(rows, lane_bits(lanes));
     f.decide(masks, 0, members, group.data());
-    EXPECT_EQ(group[3], first_lanes(lanes));
+    EXPECT_EQ(group[3], lane_bits(lanes));
     for (const std::size_t self : members) {
       std::vector<std::uint64_t> single(rows, 0);
-      single[self] = first_lanes(lanes);
+      single[self] = lane_bits(lanes);
       f.decide(masks, 0, members, single.data());
       EXPECT_EQ(single[self], group[self]) << "member " << self;
       for (std::size_t t = 0; t < lanes; ++t) {
@@ -411,7 +406,7 @@ TEST(AddressableGroupBlockTest, AllBlockedGroupZeroesEveryLane) {
   for (double& v : f.drive) v = -10.0;
   const std::vector<std::uint64_t> masks = f.conduction();
   for (const std::uint64_t word : masks) EXPECT_EQ(word, 0u);
-  std::vector<std::uint64_t> live(rows, first_lanes(lanes));
+  std::vector<std::uint64_t> live(rows, lane_bits(lanes));
   f.decide(masks, 0, {0, 1, 2}, live.data());
   for (const std::uint64_t word : live) EXPECT_EQ(word, 0u);
 }
@@ -448,7 +443,7 @@ TEST(WindowMarginBlockTest, MatchesScalarWindowRule) {
             << "lanes " << lanes << " row " << r << " lane " << t;
       }
       for (std::size_t w = 0; w < f.words(); ++w) {
-        EXPECT_EQ(masks[w * rows + r] & ~first_lanes(lanes - 64 * w), 0u);
+        EXPECT_EQ(masks[w * rows + r] & ~lane_bits(lanes - 64 * w), 0u);
       }
     }
   }
@@ -484,7 +479,7 @@ TEST(BlockKernelDispatchTest, EveryPathBitIdenticalToScalar) {
                      low_guard.data(), whw, o.window.data());
         for (std::size_t w = 0; w < f.words(); ++w) {
           std::vector<std::uint64_t> live(rows,
-                                          first_lanes(lanes - 64 * w));
+                                          lane_bits(lanes - 64 * w));
           f.decide(o.conduction, w, members, live.data());
           o.group.insert(o.group.end(), live.begin(), live.end());
         }
