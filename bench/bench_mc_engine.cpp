@@ -12,9 +12,9 @@
 // kept as the equivalence oracle) against the batched lane-mask kernel
 // across block sizes AND across every runtime SIMD dispatch path compiled
 // into the binary (forced one at a time), at one thread and best-of-3
-// timing so a noisy box cannot fake a regression; the JSON records each
-// cell's min/median/max over the three repeats, so the gate's run-to-run
-// spread is visible. A second table repeats the comparison on one contact
+// timing so a noisy box cannot fake a regression; the JSON records the
+// gate cells' min/median/max over the three repeats, so the gate's
+// run-to-run spread is visible. A second table repeats the comparison on one contact
 // group of 300 members (TC-20, N=300), where the group rule is quadratic.
 // Two gates decide the exit code: every (path, block size) cell of both
 // designs must be bit-identical to its scalar oracle, and the best batched
